@@ -10,8 +10,8 @@
 // GET /v1/jobs[/{id}[/stream]], DELETE /v1/jobs/{id}, POST /v1/run
 // (synchronous streaming; disconnecting cancels the run),
 // GET /v1/scenarios, GET /v1/cache, GET /v1/metrics (Prometheus text),
-// GET /v1/healthz. The unversioned paths of the original API remain as
-// deprecated aliases.
+// GET /v1/healthz. A -coordinator answers the same job routes, computing
+// each job on the worker that owns its cache shard.
 //
 // Usage:
 //
@@ -128,8 +128,8 @@ func main() {
 		maxDone   = flag.Int("max-finished", 1000, "finished job records retained (oldest evicted beyond this)")
 		smoke     = flag.Bool("smoke", false, "run the self-test (cold job, cache-hit resubmit, snapshot restart, /metrics scrape) and exit")
 
-		coordinator = flag.Bool("coordinator", false, "run as a fleet coordinator: route /v1/jobs across registered dsed workers instead of computing locally")
-		beatTimeout = flag.Duration("heartbeat-timeout", 5*time.Second, "coordinator: declare a worker dead after this heartbeat silence and re-queue its jobs")
+		coordinator = flag.Bool("coordinator", false, "run as a fleet coordinator: route every /v1 job across registered dsed workers instead of computing locally")
+		beatTimeout = flag.Duration("heartbeat-timeout", 5*time.Second, "coordinator: declare a worker dead after this heartbeat silence and re-route its jobs")
 		join        = flag.String("join", "", "worker: register with the fleet coordinator at this base URL (e.g. http://host:9400)")
 		advertise   = flag.String("advertise", "", "worker: base URL the coordinator dials back (default derived from -addr on 127.0.0.1)")
 		workerID    = flag.String("worker-id", "", "worker: stable fleet identity (default hostname:port)")
@@ -211,9 +211,8 @@ func main() {
 		if agent != nil {
 			// Graceful drain: leave the ring first (new jobs route to the
 			// survivors), refuse local submissions, finish what is in
-			// flight, and only then stop heartbeating and close the
-			// listener — the coordinator's watchers poll job status through
-			// the whole window.
+			// flight — the coordinator's /v1/run job streams included —
+			// and only then stop heartbeating and close the listener.
 			log.Printf("SIGTERM: draining (deregister, finish in-flight, timeout %v)", *drainFor)
 			drainCtx, cancel := context.WithTimeout(context.Background(), *drainFor)
 			srv.Drain()

@@ -46,9 +46,7 @@ type Client struct {
 	retryWait time.Duration
 }
 
-// apiPrefix is the versioned path prefix the client speaks. The server
-// keeps the unversioned paths as deprecated aliases, but this client
-// always addresses the current /v1 API.
+// apiPrefix is the versioned path prefix the client speaks.
 const apiPrefix = "/v1"
 
 // ClientOptions shapes a Client.
@@ -159,9 +157,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out interfac
 }
 
 // decodeServerError parses the /v1 error envelope
-// {"error":{"code":...,"message":...}}, falling back to the legacy
-// {"error":"string"} shape so the client still reports useful messages
-// against an old server.
+// {"error":{"code":...,"message":...}}.
 func decodeServerError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	var env struct {
@@ -172,12 +168,6 @@ func decodeServerError(resp *http.Response) error {
 	}
 	if json.Unmarshal(body, &env) == nil && env.Error.Message != "" {
 		return fmt.Errorf("dse: server: %s (%s)", env.Error.Message, env.Error.Code)
-	}
-	var legacy struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(body, &legacy) == nil && legacy.Error != "" {
-		return fmt.Errorf("dse: server: %s", legacy.Error)
 	}
 	return fmt.Errorf("dse: server returned %s", resp.Status)
 }
@@ -279,7 +269,7 @@ type finalLine struct {
 	Summary *JobSummary `json:"summary"`
 }
 
-// RunJob executes a job synchronously on the server (POST /run): onEvent
+// RunJob executes a job synchronously on the server (POST /v1/run): onEvent
 // (optional) receives each completed run as it streams back, and the
 // final summary is returned. Cancelling ctx closes the connection, which
 // cancels the server-side computation. This is the interactive path

@@ -1,7 +1,7 @@
 package fleet
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,56 +19,51 @@ import (
 // Options configures a Coordinator.
 type Options struct {
 	// HeartbeatTimeout is the silence after which a worker is declared
-	// dead: it leaves the ring and its non-terminal jobs are re-queued to
-	// the surviving owners. Non-positive selects 5s.
+	// dead: it leaves the ring and its in-flight jobs re-route to the
+	// surviving owners. Non-positive selects 5s.
 	HeartbeatTimeout time.Duration
 	// SweepInterval is the death-detection cadence (non-positive selects
 	// HeartbeatTimeout/4).
 	SweepInterval time.Duration
-	// PollInterval is the cadence at which per-job watchers poll the
-	// owning worker for progress (non-positive selects 50ms).
-	PollInterval time.Duration
 	// Replicas is the ring's virtual-node count per worker (non-positive
 	// selects DefaultReplicas).
 	Replicas int
-	// MaxFinished bounds retained finished job records, mirroring
-	// serve.Options.MaxFinished (non-positive selects 1000).
-	MaxFinished int
 	// MaxAttempts bounds dispatch attempts per job before it fails
-	// (non-positive selects 5). Every worker death costs one attempt, so
+	// (non-positive selects 5). Every lost worker costs one attempt, so
 	// the bound only trips when the fleet is flapping.
 	MaxAttempts int
 	// Logf receives one line per fleet event (nil = log.Printf).
 	Logf func(format string, args ...interface{})
-	// HTTPClient talks to workers (nil = a client with sane timeouts).
+	// HTTPClient talks to workers (nil = a client with a 10s timeout).
+	// Job streams share its transport but not its timeout: a stream lasts
+	// as long as its job.
 	HTTPClient *http.Client
 }
 
-// Coordinator fronts a fleet of dsed workers: it accepts the same
-// POST /v1/jobs the workers do, routes each job by consistent hash of
-// its result-cache fingerprint (serve.RingKey) to the owning worker,
-// and transparently re-queues jobs from workers that miss heartbeats.
-// Workers join with POST /v1/register, stay live with periodic
-// POST /v1/heartbeat, and leave gracefully with POST /v1/deregister
-// (drain: out of the ring immediately, in-flight jobs finish in place).
+// Coordinator fronts a fleet of dsed workers. Its job API is a
+// serve.Server — the same /v1 job routes a single dsed answers — whose
+// executor routes each job by consistent hash of its result-cache
+// fingerprint (serve.RingKey) to the owning worker and streams it from
+// that worker's POST /v1/run. Workers join with POST /v1/register, stay
+// live with periodic POST /v1/heartbeat, and leave gracefully with
+// POST /v1/deregister (drain: out of the ring immediately, in-flight
+// jobs finish in place).
 type Coordinator struct {
 	heartbeatTimeout time.Duration
 	sweepInterval    time.Duration
-	pollInterval     time.Duration
-	maxFinished      int
 	maxAttempts      int
 	logf             func(string, ...interface{})
-	client           *http.Client
+	client           *http.Client // membership-side calls, with a timeout
+	stream           *http.Client // job streams: same transport, no timeout
+	srv              *serve.Server
 
-	done      chan struct{}
-	closeOnce sync.Once
+	ctx    context.Context // cancelled by Close
+	cancel context.CancelFunc
 
 	mu             sync.Mutex
 	workers        map[string]*member
 	ring           *Ring
-	jobs           map[string]*fleetJob
-	order          []string
-	nextID         int
+	joined         chan struct{} // closed, and replaced, whenever a worker joins the ring
 	requeues       uint64
 	dispatchErrors uint64
 }
@@ -79,20 +74,10 @@ type member struct {
 	url      string
 	lastBeat time.Time
 	draining bool
-}
-
-// fleetJob is the coordinator-side job record. The client-visible
-// status reuses serve's wire shape and state strings verbatim, so a
-// re-queued job can never surface a state a single dsed would not.
-type fleetJob struct {
-	spec    serve.JobSpec
-	ringKey string
-	status  serve.JobStatus
-
-	workerID, workerURL, remoteID string
-	dispatching                   bool
-	attempts                      int
-	cancelled                     bool
+	// ctx is cancelled when the worker is dropped, cutting its job
+	// streams so their jobs re-route.
+	ctx    context.Context
+	cancel context.CancelFunc
 }
 
 // NewCoordinator creates a coordinator and starts its heartbeat sweep.
@@ -101,27 +86,18 @@ func NewCoordinator(opts Options) *Coordinator {
 	c := &Coordinator{
 		heartbeatTimeout: opts.HeartbeatTimeout,
 		sweepInterval:    opts.SweepInterval,
-		pollInterval:     opts.PollInterval,
-		maxFinished:      opts.MaxFinished,
 		maxAttempts:      opts.MaxAttempts,
 		logf:             opts.Logf,
 		client:           opts.HTTPClient,
-		done:             make(chan struct{}),
 		workers:          map[string]*member{},
 		ring:             NewRing(opts.Replicas),
-		jobs:             map[string]*fleetJob{},
+		joined:           make(chan struct{}),
 	}
 	if c.heartbeatTimeout <= 0 {
 		c.heartbeatTimeout = 5 * time.Second
 	}
 	if c.sweepInterval <= 0 {
 		c.sweepInterval = c.heartbeatTimeout / 4
-	}
-	if c.pollInterval <= 0 {
-		c.pollInterval = 50 * time.Millisecond
-	}
-	if c.maxFinished <= 0 {
-		c.maxFinished = 1000
 	}
 	if c.maxAttempts <= 0 {
 		c.maxAttempts = 5
@@ -132,50 +108,33 @@ func NewCoordinator(opts Options) *Coordinator {
 	if c.client == nil {
 		c.client = &http.Client{Timeout: 10 * time.Second}
 	}
+	stream := *c.client
+	stream.Timeout = 0
+	c.stream = &stream
+	c.ctx, c.cancel = context.WithCancel(context.Background())
+	c.srv = serve.New(serve.Options{Executor: c.route, Logf: c.logf})
 	go c.sweep()
 	return c
 }
 
-// Close stops the sweep loop and every job watcher. Idempotent.
-func (c *Coordinator) Close() { c.closeOnce.Do(func() { close(c.done) }) }
+// Close stops the sweep loop and cuts every job stream. Idempotent.
+func (c *Coordinator) Close() { c.cancel() }
 
-// Handler mounts the coordinator API under /v1. The job-facing routes
-// mirror dsed's, so dse.Client and dseload work unchanged against a
-// coordinator; the worker-facing routes (register/heartbeat/deregister/
-// workers) are fleet-only.
+// Handler mounts the coordinator API under /v1: every job route comes
+// from the embedded serve.Server, so dse.Client, dsexplore -server and
+// dseload work unchanged against a coordinator; the membership routes
+// (register/heartbeat/deregister/workers) are fleet-only, and cache and
+// metrics report the fleet.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "role": "coordinator"})
-	})
-	mux.HandleFunc("GET /v1/scenarios", func(w http.ResponseWriter, r *http.Request) { serve.WriteScenarios(w) })
+	mux.Handle("/", c.srv.Handler())
 	mux.HandleFunc("POST /v1/register", c.handleRegister)
 	mux.HandleFunc("POST /v1/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /v1/deregister", c.handleDeregister)
 	mux.HandleFunc("GET /v1/workers", c.handleWorkers)
-	mux.HandleFunc("POST /v1/jobs", c.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", c.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", c.handleStatus)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleCancel)
 	mux.HandleFunc("GET /v1/cache", c.handleCache)
 	mux.HandleFunc("GET /v1/metrics", c.handleMetrics)
 	return mux
-}
-
-// writeJSON / writeError mirror serve's envelope so every fleet error
-// has the same {"error":{"code","message"}} shape clients already parse.
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, code, format string, args ...interface{}) {
-	writeJSON(w, status, map[string]interface{}{
-		"error": map[string]string{"code": code, "message": fmt.Sprintf(format, args...)},
-	})
 }
 
 // JoinRequest is the body of POST /v1/register, /v1/heartbeat, and
@@ -207,12 +166,12 @@ func decodeJoin(w http.ResponseWriter, r *http.Request) (*JoinRequest, bool) {
 	var req JoinRequest
 	body := http.MaxBytesReader(w, r.Body, 1<<16)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "fleet: decoding join request: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("fleet: decoding join request: %w", err))
 		return nil, false
 	}
 	io.Copy(io.Discard, body)
 	if req.ID == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", "fleet: join request needs an id")
+		serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("fleet: join request needs an id"))
 		return nil, false
 	}
 	return &req, true
@@ -224,13 +183,14 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.URL == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", "fleet: register needs the worker's base url")
+		serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("fleet: register needs the worker's base url"))
 		return
 	}
 	c.mu.Lock()
 	m, known := c.workers[req.ID]
 	if !known {
 		m = &member{id: req.ID}
+		m.ctx, m.cancel = context.WithCancel(c.ctx)
 		c.workers[req.ID] = m
 	}
 	m.url = req.URL
@@ -238,14 +198,15 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	m.draining = false
 	c.ring.Add(req.ID)
 	n := c.ring.Len()
-	c.kickLocked()
+	close(c.joined) // wake the jobs waiting for an owner
+	c.joined = make(chan struct{})
 	c.mu.Unlock()
 	if known {
 		c.logf("fleet: worker %s re-registered at %s (%d on ring)", req.ID, req.URL, n)
 	} else {
 		c.logf("fleet: worker %s joined at %s (%d on ring)", req.ID, req.URL, n)
 	}
-	writeJSON(w, http.StatusOK, JoinResponse{ID: req.ID, State: "active", Workers: n})
+	serve.WriteJSON(w, http.StatusOK, JoinResponse{ID: req.ID, State: "active", Workers: n})
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -255,27 +216,25 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Lock()
 	m, known := c.workers[req.ID]
+	var state string
+	var n int
 	if known {
 		m.lastBeat = time.Now()
 		if req.URL != "" {
 			m.url = req.URL
 		}
-	}
-	var state string
-	var n int
-	if known {
 		state = memberState(m)
 		n = c.ring.Len()
 	}
 	c.mu.Unlock()
 	if !known {
 		// The worker believes it is registered but the coordinator does
-		// not know it (coordinator restart, earlier death verdict). 404
-		// with a dedicated code tells the agent to re-register.
-		writeError(w, http.StatusNotFound, "unknown_worker", "fleet: unknown worker %q — re-register", req.ID)
+		// not know it (coordinator restart, earlier death verdict). The
+		// 404 tells the agent to re-register.
+		serve.WriteError(w, http.StatusNotFound, fmt.Errorf("fleet: unknown worker %q — re-register", req.ID))
 		return
 	}
-	writeJSON(w, http.StatusOK, JoinResponse{ID: req.ID, State: state, Workers: n})
+	serve.WriteJSON(w, http.StatusOK, JoinResponse{ID: req.ID, State: state, Workers: n})
 }
 
 func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
@@ -292,11 +251,11 @@ func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	n := c.ring.Len()
 	c.mu.Unlock()
 	if !known {
-		writeError(w, http.StatusNotFound, "unknown_worker", "fleet: unknown worker %q", req.ID)
+		serve.WriteError(w, http.StatusNotFound, fmt.Errorf("fleet: unknown worker %q", req.ID))
 		return
 	}
 	c.logf("fleet: worker %s draining — off the ring (%d remain), in-flight jobs finish in place", req.ID, n)
-	writeJSON(w, http.StatusOK, JoinResponse{ID: req.ID, State: "draining", Workers: n})
+	serve.WriteJSON(w, http.StatusOK, JoinResponse{ID: req.ID, State: "draining", Workers: n})
 }
 
 func memberState(m *member) string {
@@ -307,14 +266,14 @@ func memberState(m *member) string {
 }
 
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	now := time.Now()
-	c.mu.Lock()
 	active := map[string]int{}
-	for _, j := range c.jobs {
-		if j.workerID != "" && !serveTerminal(j.status.State) {
-			active[j.workerID]++
+	for _, st := range c.srv.Jobs() {
+		if st.State == serve.StateRunning {
+			active[st.Worker]++
 		}
 	}
+	now := time.Now()
+	c.mu.Lock()
 	out := make([]WorkerInfo, 0, len(c.workers))
 	for _, m := range c.workers {
 		out = append(out, WorkerInfo{
@@ -325,395 +284,39 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
-func serveTerminal(state string) bool {
-	return state == serve.StateDone || state == serve.StateFailed || state == serve.StateCanceled
-}
-
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := serve.DecodeSpec(w, r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
-	key, err := serve.RingKey(spec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
-	c.mu.Lock()
-	c.nextID++
-	id := fmt.Sprintf("fleet-%06d", c.nextID)
-	j := &fleetJob{
-		spec:    *spec,
-		ringKey: key,
-		status: serve.JobStatus{
-			ID: id, State: serve.StateQueued, Spec: *spec, Submitted: time.Now().UTC(),
-		},
-	}
-	c.jobs[id] = j
-	c.order = append(c.order, id)
-	c.pruneLocked()
-	c.kickLocked()
-	st := j.status
-	c.mu.Unlock()
-	writeJSON(w, http.StatusAccepted, st)
-}
-
-// pruneLocked evicts the oldest finished job records beyond the
-// retention cap, mirroring serve's policy. Caller holds c.mu.
-func (c *Coordinator) pruneLocked() {
-	finished := 0
-	for _, id := range c.order {
-		if serveTerminal(c.jobs[id].status.State) {
-			finished++
-		}
-	}
-	if finished <= c.maxFinished {
-		return
-	}
-	keep := c.order[:0]
-	for _, id := range c.order {
-		if finished > c.maxFinished && serveTerminal(c.jobs[id].status.State) {
-			delete(c.jobs, id)
-			finished--
-			continue
-		}
-		keep = append(keep, id)
-	}
-	c.order = keep
-}
-
-// kickLocked dispatches every routable queued job. Caller holds c.mu;
-// the actual worker HTTP round-trip happens in a goroutine per job.
-func (c *Coordinator) kickLocked() {
-	for _, id := range c.order {
-		j := c.jobs[id]
-		if j.status.State != serve.StateQueued || j.dispatching || j.cancelled || j.workerID != "" {
-			continue
-		}
-		owner, ok := c.ring.Owner(j.ringKey)
-		if !ok {
-			continue // no workers: stays queued until one registers
-		}
-		m := c.workers[owner]
-		j.dispatching = true
-		j.attempts++
-		if j.attempts > c.maxAttempts {
-			now := time.Now().UTC()
-			j.status.State = serve.StateFailed
-			j.status.Error = fmt.Sprintf("fleet: job gave up after %d dispatch attempts", c.maxAttempts)
-			j.status.Finished = &now
-			j.dispatching = false
-			continue
-		}
-		j.workerID, j.workerURL = m.id, m.url
-		go c.dispatch(id, m.id, m.url)
-	}
-}
-
-// dispatch submits job id to the worker and starts its watcher. A
-// refusal or transport failure re-queues the job: a 503 marks the
-// worker draining (alive, not accepting), anything else declares it
-// dead — if it is actually alive it will re-register on its next
-// heartbeat.
-func (c *Coordinator) dispatch(id, workerID, url string) {
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	if !ok {
-		c.mu.Unlock()
-		return
-	}
-	spec := j.spec
-	c.mu.Unlock()
-
-	remote, err := c.postJob(url, &spec)
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok = c.jobs[id]
-	if !ok {
-		return
-	}
-	j.dispatching = false
-	if err != nil {
-		c.dispatchErrors++
-		c.logf("fleet: dispatch %s to %s failed: %v", id, workerID, err)
-		if m, known := c.workers[workerID]; known {
-			if isDrainingErr(err) {
-				m.draining = true
-				c.ring.Remove(workerID)
-			} else {
-				c.dropWorkerLocked(workerID, fmt.Sprintf("dispatch failed: %v", err))
-			}
-		}
-		c.requeueLocked(j)
-		c.kickLocked()
-		return
-	}
-	j.remoteID = remote.ID
-	j.status.State = remote.State
-	if j.cancelled {
-		go c.remoteCancel(url, remote.ID)
-	}
-	go c.watch(id, workerID, url, remote.ID)
-}
-
-// postJob submits a spec to a worker and returns its job status.
-func (c *Coordinator) postJob(url string, spec *serve.JobSpec) (*serve.JobStatus, error) {
-	b, err := json.Marshal(spec)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.client.Post(url+"/v1/jobs", "application/json", bytes.NewReader(b))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusServiceUnavailable {
-		io.Copy(io.Discard, resp.Body)
-		return nil, errDraining
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("fleet: worker answered %s: %s", resp.Status, body)
-	}
-	var st serve.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
-var errDraining = fmt.Errorf("fleet: worker draining")
-
-func isDrainingErr(err error) bool { return err == errDraining }
-
-// dropWorkerLocked declares a worker dead: off the ring, out of the
-// member table, and every non-terminal job it held re-queued. Caller
-// holds c.mu.
-func (c *Coordinator) dropWorkerLocked(workerID, why string) {
-	if _, known := c.workers[workerID]; !known {
-		return
-	}
-	delete(c.workers, workerID)
-	c.ring.Remove(workerID)
-	requeued := 0
-	for _, id := range c.order {
-		j := c.jobs[id]
-		if j.workerID == workerID && !serveTerminal(j.status.State) {
-			c.requeueLocked(j)
-			requeued++
-		}
-	}
-	c.logf("fleet: worker %s dropped (%s) — %d jobs re-queued, %d workers remain",
-		workerID, why, requeued, c.ring.Len())
-}
-
-// requeueLocked returns a job to the queued state with no owner; the
-// next kick re-routes it on the shrunken ring. Caller holds c.mu.
-func (c *Coordinator) requeueLocked(j *fleetJob) {
-	if serveTerminal(j.status.State) || j.cancelled {
-		if j.cancelled && !serveTerminal(j.status.State) {
-			now := time.Now().UTC()
-			j.status.State = serve.StateCanceled
-			j.status.Finished = &now
-		}
-		return
-	}
-	j.workerID, j.workerURL, j.remoteID = "", "", ""
-	j.dispatching = false
-	j.status.State = serve.StateQueued
-	j.status.Summary = nil
-	j.status.Error = ""
-	j.status.Started = nil
-	c.requeues++
-}
-
-// watch polls the owning worker for job progress until the job reaches
-// a terminal state, is reassigned, or the coordinator closes. The
-// watcher is what lets a drained worker finish in place: its record
-// keeps updating even though the worker already left the ring.
-func (c *Coordinator) watch(id, workerID, url, remoteID string) {
-	tick := time.NewTicker(c.pollInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-		case <-c.done:
-			return
-		}
-		st, err := c.fetchStatus(url, remoteID)
-		c.mu.Lock()
-		j, ok := c.jobs[id]
-		if !ok || j.workerID != workerID || serveTerminal(j.status.State) {
-			c.mu.Unlock()
-			return
-		}
-		if err != nil {
-			// Unreachable worker: if the sweep already dropped it the job
-			// must not wait for the next sweep; otherwise keep polling —
-			// heartbeats decide liveness, not one failed poll.
-			if _, known := c.workers[workerID]; !known {
-				c.requeueLocked(j)
-				c.kickLocked()
-				c.mu.Unlock()
-				return
-			}
-			c.mu.Unlock()
-			continue
-		}
-		c.foldLocked(j, st)
-		done := serveTerminal(j.status.State)
-		c.mu.Unlock()
-		if done {
-			return
-		}
-	}
-}
-
-// fetchStatus reads a job's status from its worker.
-func (c *Coordinator) fetchStatus(url, remoteID string) (*serve.JobStatus, error) {
-	resp, err := c.client.Get(url + "/v1/jobs/" + remoteID)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("fleet: worker answered %s", resp.Status)
-	}
-	var st serve.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
-// foldLocked merges the remote status into the coordinator record,
-// keeping the coordinator's job ID and submission time. Caller holds
-// c.mu and has verified the record still points at this worker.
-func (c *Coordinator) foldLocked(j *fleetJob, st *serve.JobStatus) {
-	j.status.State = st.State
-	j.status.Summary = st.Summary
-	j.status.Error = st.Error
-	j.status.Events = st.Events
-	j.status.Started = st.Started
-	j.status.Finished = st.Finished
-}
-
-func (c *Coordinator) remoteCancel(url, remoteID string) {
-	req, err := http.NewRequest(http.MethodDelete, url+"/v1/jobs/"+remoteID, nil)
-	if err != nil {
-		return
-	}
-	if resp, err := c.client.Do(req); err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
+// dropLocked declares a worker dead: off the ring and out of the member
+// table. Cancelling its context cuts its job streams, and each of those
+// jobs re-routes to the new owner of its key. Caller holds c.mu.
+func (c *Coordinator) dropLocked(m *member, why string) {
+	delete(c.workers, m.id)
+	c.ring.Remove(m.id)
+	m.cancel()
+	c.logf("fleet: worker %s dropped (%s), %d workers remain", m.id, why, c.ring.Len())
 }
 
 // sweep is the liveness monitor: workers silent past the heartbeat
-// timeout are dropped and their jobs re-queued.
+// timeout are dropped.
 func (c *Coordinator) sweep() {
 	tick := time.NewTicker(c.sweepInterval)
 	defer tick.Stop()
 	for {
 		select {
 		case <-tick.C:
-		case <-c.done:
+		case <-c.ctx.Done():
 			return
 		}
 		now := time.Now()
 		c.mu.Lock()
-		var dead []string
-		for id, m := range c.workers {
+		for _, m := range c.workers {
 			if now.Sub(m.lastBeat) > c.heartbeatTimeout {
-				dead = append(dead, id)
+				c.dropLocked(m, "missed heartbeats")
 			}
 		}
-		for _, id := range dead {
-			c.dropWorkerLocked(id, "missed heartbeats")
-		}
-		c.kickLocked()
 		c.mu.Unlock()
 	}
-}
-
-func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	out := make([]serve.JobStatus, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.jobs[id].status)
-	}
-	c.mu.Unlock()
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	var st serve.JobStatus
-	var workerID, url, remoteID string
-	if ok {
-		st = j.status
-		if !serveTerminal(st.State) && j.remoteID != "" {
-			workerID, url, remoteID = j.workerID, j.workerURL, j.remoteID
-		}
-	}
-	c.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "fleet: no such job %q", id)
-		return
-	}
-	if remoteID != "" {
-		// Live proxy: a fresh read halves the client's observed completion
-		// latency vs waiting for the watcher tick. A failed proxy is not an
-		// error — the watcher-maintained record stands in.
-		if remote, err := c.fetchStatus(url, remoteID); err == nil {
-			c.mu.Lock()
-			if jj, still := c.jobs[id]; still && jj.workerID == workerID && !serveTerminal(jj.status.State) {
-				c.foldLocked(jj, remote)
-			}
-			st = c.jobs[id].status
-			c.mu.Unlock()
-		}
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	var url, remoteID string
-	if ok {
-		j.cancelled = true
-		if j.remoteID != "" {
-			url, remoteID = j.workerURL, j.remoteID
-		} else if !serveTerminal(j.status.State) {
-			now := time.Now().UTC()
-			j.status.State = serve.StateCanceled
-			j.status.Finished = &now
-		}
-	}
-	var st serve.JobStatus
-	if ok {
-		st = j.status
-	}
-	c.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "fleet: no such job %q", id)
-		return
-	}
-	if remoteID != "" {
-		go c.remoteCancel(url, remoteID)
-	}
-	writeJSON(w, http.StatusAccepted, st)
 }
 
 // WorkerCache is one worker's cache statistics in the fleet aggregate.
@@ -769,21 +372,21 @@ func (c *Coordinator) handleCache(w http.ResponseWriter, r *http.Request) {
 			out.Capacity += info.Capacity
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	workers := map[string]int{"active": 0, "draining": 0}
-	for _, m := range c.workers {
-		workers[memberState(m)]++
-	}
 	states := map[string]int{
 		serve.StateQueued: 0, serve.StateRunning: 0,
 		serve.StateDone: 0, serve.StateFailed: 0, serve.StateCanceled: 0,
 	}
-	for _, j := range c.jobs {
-		states[j.status.State]++
+	for _, st := range c.srv.Jobs() {
+		states[st.State]++
+	}
+	c.mu.Lock()
+	workers := map[string]int{"active": 0, "draining": 0}
+	for _, m := range c.workers {
+		workers[memberState(m)]++
 	}
 	requeues, dispatchErrors := c.requeues, c.dispatchErrors
 	c.mu.Unlock()
@@ -798,7 +401,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, s := range []string{serve.StateQueued, serve.StateRunning, serve.StateDone, serve.StateFailed, serve.StateCanceled} {
 		fmt.Fprintf(w, "dse_fleet_jobs{state=%s} %d\n", strconv.Quote(s), states[s])
 	}
-	fmt.Fprint(w, "# HELP dse_fleet_requeues_total Jobs re-queued off dead or refusing workers.\n# TYPE dse_fleet_requeues_total counter\n")
+	fmt.Fprint(w, "# HELP dse_fleet_requeues_total Jobs re-routed off lost or refusing workers.\n# TYPE dse_fleet_requeues_total counter\n")
 	fmt.Fprintf(w, "dse_fleet_requeues_total %d\n", requeues)
 	fmt.Fprint(w, "# HELP dse_fleet_dispatch_errors_total Job dispatches that failed and were retried.\n# TYPE dse_fleet_dispatch_errors_total counter\n")
 	fmt.Fprintf(w, "dse_fleet_dispatch_errors_total %d\n", dispatchErrors)
@@ -811,13 +414,13 @@ func (c *Coordinator) Requeues() uint64 {
 	return c.requeues
 }
 
-// Assignment reports which worker currently owns job id (empty when
-// unassigned or unknown).
+// Assignment reports the worker that computes (or computed) job id;
+// empty while the job is queued, or when the ID is unknown.
 func (c *Coordinator) Assignment(id string) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if j, ok := c.jobs[id]; ok {
-		return j.workerID
+	for _, st := range c.srv.Jobs() {
+		if st.ID == id {
+			return st.Worker
+		}
 	}
 	return ""
 }

@@ -1,6 +1,6 @@
 // Fault-injection tests for the fleet: an in-process coordinator
 // fronting three in-process dsed workers over httptest, exercising the
-// full register/heartbeat/dispatch/watch loop plus the two failure
+// full register/heartbeat/dispatch/stream loop plus the two failure
 // modes that matter — a worker killed mid-job (re-queue, bit-identical
 // completion) and a worker drained gracefully (zero failed requests).
 // All of it runs under -race in CI.
@@ -91,7 +91,6 @@ func startFleet(t *testing.T, n int) *testFleet {
 	coord := fleet.NewCoordinator(fleet.Options{
 		HeartbeatTimeout: 250 * time.Millisecond,
 		SweepInterval:    25 * time.Millisecond,
-		PollInterval:     10 * time.Millisecond,
 		Logf:             logf,
 	})
 	t.Cleanup(coord.Close)
@@ -374,7 +373,6 @@ func TestCoordinatorQueuesUntilWorkerJoins(t *testing.T) {
 	coord := fleet.NewCoordinator(fleet.Options{
 		HeartbeatTimeout: 250 * time.Millisecond,
 		SweepInterval:    25 * time.Millisecond,
-		PollInterval:     10 * time.Millisecond,
 		Logf:             logf,
 	})
 	t.Cleanup(coord.Close)

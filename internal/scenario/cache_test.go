@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/runner"
@@ -10,8 +11,15 @@ import (
 // TestMatrixWarmCacheBitIdenticalAndFast is the PR's acceptance test:
 // resubmitting an identical scenario × strategy × seed × budget cell
 // against the warm result cache returns bit-identical quality fields
-// (best cost, front size, makespan) and is at least 10x faster than the
-// cold computation on the 160-task layered scenario.
+// (best cost, front size, makespan) without computing anything, and is
+// at least 10x faster than the cold computation on the 160-task
+// layered scenario.
+//
+// The primary assertion is deterministic: the warm pass is served
+// entirely from the cache, so it records no cache miss — no run is
+// computed, no evaluation performed. The speedup is timed as the
+// minimum over several warm passes, so one descheduled sample on a
+// loaded host cannot fail the 10x bound.
 func TestMatrixWarmCacheBitIdenticalAndFast(t *testing.T) {
 	s, ok := Lookup("layered-160") // alias of layered-xl
 	if !ok {
@@ -35,20 +43,44 @@ func TestMatrixWarmCacheBitIdenticalAndFast(t *testing.T) {
 	}
 	r := rows[0]
 	// RunMatrix already failed the matrix if any warm quality field
-	// diverged from the cold pass; here we assert the cache actually
-	// served the warm pass and quantify the speedup.
+	// diverged from the cold pass; here we assert the cache served the
+	// whole warm pass: every run a hit, and only the cold pass's runs
+	// ever missed (and so computed).
 	if r.CacheHits != opts.Runs {
 		t.Fatalf("warm pass hit %d/%d runs", r.CacheHits, opts.Runs)
+	}
+	if st := cache.Stats(); st.Misses != uint64(opts.Runs) || st.Hits != uint64(opts.Runs) {
+		t.Fatalf("cache misses=%d hits=%d after cold+warm, want %d each: the warm pass computed",
+			st.Misses, st.Hits, opts.Runs)
 	}
 	if r.WarmWallMS <= 0 {
 		t.Fatal("warm pass not recorded")
 	}
-	if r.WallMS < 10*r.WarmWallMS {
-		t.Fatalf("warm speedup below 10x: cold %.3f ms, warm %.3f ms (%.1fx)",
-			r.WallMS, r.WarmWallMS, r.WallMS/r.WarmWallMS)
+
+	// Further warm-only passes over the same cache: each computes nothing
+	// and contributes one timing sample.
+	const k = 5
+	warm := r.WarmWallMS
+	opts.Warm = false
+	for i := 0; i < k; i++ {
+		again, err := RunMatrix(context.Background(), []*Scenario{s}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again[0].BestCost != r.BestCost || again[0].FrontSize != r.FrontSize {
+			t.Fatalf("warm pass %d drifted: %+v vs %+v", i, again[0], r)
+		}
+		warm = math.Min(warm, again[0].WallMS)
 	}
-	t.Logf("layered-160 sa: cold %.1f ms, warm %.2f ms (%.0fx), best cost %.4f, front %d",
-		r.WallMS, r.WarmWallMS, r.WallMS/r.WarmWallMS, r.BestCost, r.FrontSize)
+	if st := cache.Stats(); st.Misses != uint64(opts.Runs) {
+		t.Fatalf("cache misses=%d after %d warm passes, want %d: a warm pass computed", st.Misses, k+1, opts.Runs)
+	}
+	if r.WallMS < 10*warm {
+		t.Fatalf("warm speedup below 10x: cold %.3f ms, best warm of %d %.3f ms (%.1fx)",
+			r.WallMS, k+1, warm, r.WallMS/warm)
+	}
+	t.Logf("layered-160 sa: cold %.1f ms, best warm of %d %.2f ms (%.0fx), best cost %.4f, front %d",
+		r.WallMS, k+1, warm, r.WallMS/warm, r.BestCost, r.FrontSize)
 }
 
 // TestMatrixSharedCacheAcrossInvocations pins the cross-invocation path

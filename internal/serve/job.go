@@ -268,8 +268,10 @@ const (
 
 // JobStatus is the wire representation of a job.
 type JobStatus struct {
-	ID        string      `json:"id"`
-	State     string      `json:"state"`
+	ID    string `json:"id"`
+	State string `json:"state"`
+	// Worker names the fleet worker computing the job (coordinator only).
+	Worker    string      `json:"worker,omitempty"`
 	Spec      JobSpec     `json:"spec"`
 	Error     string      `json:"error,omitempty"`
 	Summary   *JobSummary `json:"summary,omitempty"`
@@ -351,14 +353,28 @@ func (j *job) eventsFrom(from int) ([]RunEvent, string) {
 // setState transitions the job, stamping timestamps and waking streamers.
 func (j *job) setState(state string, now time.Time) {
 	j.mu.Lock()
+	j.setStateLocked(state, now)
+	j.mu.Unlock()
+}
+
+func (j *job) setStateLocked(state string, now time.Time) {
 	j.status.State = state
 	switch state {
+	case StateQueued:
+		j.status.Started = nil
 	case StateRunning:
 		j.status.Started = &now
 	case StateDone, StateFailed, StateCanceled:
 		j.status.Finished = &now
 	}
 	j.notify()
+}
+
+// place moves a job between queued and running on a fleet worker.
+func (j *job) place(state, worker string) {
+	j.mu.Lock()
+	j.status.Worker = worker
+	j.setStateLocked(state, time.Now().UTC())
 	j.mu.Unlock()
 }
 

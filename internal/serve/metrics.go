@@ -74,11 +74,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	states := map[string]int{
 		StateQueued: 0, StateRunning: 0, StateDone: 0, StateFailed: 0, StateCanceled: 0,
 	}
-	s.mu.Lock()
-	for _, j := range s.jobs {
-		states[j.snapshot().State]++
+	for _, st := range s.Jobs() {
+		states[st.State]++
 	}
-	s.mu.Unlock()
 	fmt.Fprint(w, "# HELP dse_jobs Jobs resident in the job table by state.\n")
 	fmt.Fprint(w, "# TYPE dse_jobs gauge\n")
 	for _, state := range []string{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {

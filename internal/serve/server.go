@@ -16,7 +16,6 @@ import (
 	"repro/internal/memo"
 	"repro/internal/runner"
 	"repro/internal/scenario"
-	"repro/internal/search"
 )
 
 // Options configures a Server.
@@ -37,15 +36,19 @@ type Options struct {
 	MaxFinished int
 	// Logf receives one line per lifecycle transition (nil = log.Printf).
 	Logf func(format string, args ...interface{})
+	// Executor computes the accepted jobs (nil = in-process over Cache).
+	Executor Executor
 }
 
 // Server is the DSE job service. Create with New, mount via Handler.
 type Server struct {
 	cache       *runner.ResultCache
+	exec        Executor
 	sem         chan struct{}
 	maxFinished int
 	logf        func(string, ...interface{})
 	draining    atomic.Bool
+	syncRuns    atomic.Int64 // in-flight synchronous /v1/run requests
 
 	mu     sync.Mutex // guards jobs/order/nextID
 	jobs   map[string]*job
@@ -67,13 +70,18 @@ func New(opts Options) *Server {
 	if logf == nil {
 		logf = log.Printf
 	}
-	return &Server{
+	s := &Server{
 		cache:       opts.Cache,
+		exec:        opts.Executor,
 		sem:         make(chan struct{}, maxJobs),
 		maxFinished: maxFinished,
 		logf:        logf,
 		jobs:        map[string]*job{},
 	}
+	if s.exec == nil {
+		s.exec = s.local
+	}
+	return s
 }
 
 // pruneLocked evicts the oldest finished jobs beyond the retention cap.
@@ -104,9 +112,9 @@ func (s *Server) pruneLocked() {
 func (s *Server) Cache() *runner.ResultCache { return s.cache }
 
 // Drain puts the server into graceful-drain mode: new submissions
-// (POST /jobs and POST /run) are refused with 503 and the stable error
-// code "draining", while status, stream, cancel, and metrics requests —
-// and every job already queued or running — proceed to completion. A
+// (POST /v1/jobs and POST /v1/run) are refused with 503 and the stable
+// error code "draining", while status, stream, cancel, and metrics
+// requests — and all work already in flight — proceed to completion. A
 // fleet worker drains on SIGTERM: deregister from the coordinator,
 // Drain, WaitIdle, then exit. Drain is idempotent and cannot be undone.
 func (s *Server) Drain() {
@@ -118,22 +126,34 @@ func (s *Server) Drain() {
 // Draining reports whether Drain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// ActiveJobs counts jobs not yet in a terminal state (queued + running).
+// ActiveJobs counts the work in flight: async jobs not yet in a terminal
+// state (queued + running) plus synchronous /v1/run requests.
 func (s *Server) ActiveJobs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, j := range s.jobs {
-		if !terminal(j.snapshot().State) {
+	n := int(s.syncRuns.Load())
+	for _, st := range s.Jobs() {
+		if !terminal(st.State) {
 			n++
 		}
 	}
 	return n
 }
 
-// WaitIdle blocks until every queued and running job has reached a
-// terminal state, or ctx expires (returning its error). The drain
-// sequence calls it after Drain so no new work can arrive behind it.
+// Jobs snapshots the job table, sorted by ID.
+func (s *Server) Jobs() []JobStatus {
+	s.mu.Lock()
+	out := make([]JobStatus, 0, len(s.order))
+	for _, id := range s.order {
+		out = append(out, s.jobs[id].snapshot())
+	}
+	s.mu.Unlock()
+	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
+	return out
+}
+
+// WaitIdle blocks until every queued and running job and every
+// synchronous run has finished, or ctx expires (returning its error).
+// The drain sequence calls it after Drain so no new work can arrive
+// behind it.
 func (s *Server) WaitIdle(ctx context.Context) error {
 	tick := time.NewTicker(20 * time.Millisecond)
 	defer tick.Stop()
@@ -149,56 +169,28 @@ func (s *Server) WaitIdle(ctx context.Context) error {
 	}
 }
 
-// APIVersion is the current (and only) versioned API prefix. Every
-// endpoint lives under /v1; the unversioned paths of the original API
-// remain as deprecated aliases that answer identically but carry a
-// Deprecation header pointing at their successor.
-const APIVersion = "v1"
-
-// Handler mounts the API: each route once under /v1 and once at its
-// legacy unversioned path.
+// Handler mounts the API under /v1.
 func (s *Server) Handler() http.Handler {
-	routes := []struct {
-		pattern string
-		h       http.HandlerFunc
-	}{
-		{"GET /healthz", s.handleHealthz},
-		{"GET /scenarios", s.handleScenarios},
-		{"GET /cache", s.handleCache},
-		{"GET /metrics", s.handleMetrics},
-		{"POST /jobs", s.handleSubmit},
-		{"GET /jobs", s.handleList},
-		{"GET /jobs/{id}", s.handleStatus},
-		{"GET /jobs/{id}/stream", s.handleStream},
-		{"DELETE /jobs/{id}", s.handleCancel},
-		{"POST /run", s.handleRunSync},
-	}
 	mux := http.NewServeMux()
-	for _, rt := range routes {
-		method, path, _ := strings.Cut(rt.pattern, " ")
-		mux.Handle(method+" /"+APIVersion+path, rt.h)
-		mux.Handle(rt.pattern, deprecatedAlias(path, rt.h))
-	}
+	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
+	mux.HandleFunc("GET /v1/scenarios", s.handleScenarios)
+	mux.HandleFunc("GET /v1/cache", s.handleCache)
+	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
+	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
+	mux.HandleFunc("GET /v1/jobs", s.handleList)
+	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
+	mux.HandleFunc("POST /v1/run", s.handleRun)
 	return mux
 }
 
-// deprecatedAlias serves a legacy unversioned route with the standard
-// deprecation signals (draft-ietf-httpapi-deprecation-header): a
-// Deprecation header plus a Link to the successor path.
-func deprecatedAlias(path string, h http.HandlerFunc) http.Handler {
-	successor := "/" + APIVersion + path
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	})
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
+// WriteJSON writes v as an indented JSON response with the given status.
+func WriteJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -234,8 +226,10 @@ func errorCode(status int) string {
 	}
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorEnvelope{Error: APIError{Code: errorCode(code), Message: err.Error()}})
+// WriteError writes err in the /v1 error envelope, its code derived
+// from the HTTP status.
+func WriteError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, errorEnvelope{Error: APIError{Code: errorCode(code), Message: err.Error()}})
 }
 
 // CodeDraining is the stable error-envelope code of a 503 refused by a
@@ -247,20 +241,14 @@ const CodeDraining = "draining"
 // Retry-After hint, and the "draining" envelope code.
 func writeDraining(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable, errorEnvelope{Error: APIError{
+	WriteJSON(w, http.StatusServiceUnavailable, errorEnvelope{Error: APIError{
 		Code:    CodeDraining,
 		Message: "serve: draining — not accepting new jobs; retry against the coordinator",
 	}})
 }
 
+// handleScenarios writes the scenario catalog.
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
-	WriteScenarios(w)
-}
-
-// WriteScenarios writes the scenario catalog as the GET /scenarios JSON.
-// Package-level so the fleet coordinator can answer the endpoint without
-// owning a job server.
-func WriteScenarios(w http.ResponseWriter) {
 	type entry struct {
 		Name       string  `json:"name"`
 		Family     string  `json:"family"`
@@ -276,7 +264,7 @@ func WriteScenarios(w http.ResponseWriter) {
 			Stresses: sc.Stresses, DeadlineMS: sc.DeadlineMS, Runs: sc.Budget.Runs,
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // CacheInfo is the /cache wire shape: whether caching is on, plus the
@@ -289,10 +277,10 @@ type CacheInfo struct {
 
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	if s.cache == nil {
-		writeJSON(w, http.StatusOK, CacheInfo{Enabled: false})
+		WriteJSON(w, http.StatusOK, CacheInfo{Enabled: false})
 		return
 	}
-	writeJSON(w, http.StatusOK, CacheInfo{Enabled: true, Stats: s.cache.Stats()})
+	WriteJSON(w, http.StatusOK, CacheInfo{Enabled: true, Stats: s.cache.Stats()})
 }
 
 // maxSpecBytes bounds a job-spec request body. Inline models are a few
@@ -308,12 +296,6 @@ const maxSpecBytes = 8 << 20
 // the body — without the drain, a /run client hanging up would never
 // cancel the computation.
 func decodeSpec(w http.ResponseWriter, r *http.Request) (*JobSpec, error) {
-	return DecodeSpec(w, r)
-}
-
-// DecodeSpec is the exported spec decoder the fleet coordinator shares
-// with the job server, so both reject the same bodies the same way.
-func DecodeSpec(w http.ResponseWriter, r *http.Request) (*JobSpec, error) {
 	body := http.MaxBytesReader(w, r.Body, maxSpecBytes)
 	var spec JobSpec
 	dec := json.NewDecoder(body)
@@ -334,12 +316,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	spec, err := decodeSpec(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	res, err := resolve(spec)
+	task, err := s.exec(spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -352,9 +334,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.order = append(s.order, id)
 	s.pruneLocked()
 	s.mu.Unlock()
-	s.logf("serve: %s queued (%s, strategy %s, %d runs)", id, specName(spec), res.strategy, res.runs)
-	go s.execute(ctx, j, res)
-	writeJSON(w, http.StatusAccepted, j.snapshot())
+	s.logf("serve: %s queued (%s)", id, specName(spec))
+	go s.execute(ctx, j, task)
+	WriteJSON(w, http.StatusAccepted, j.snapshot())
 }
 
 // specName names a spec for log lines.
@@ -368,40 +350,26 @@ func specName(spec *JobSpec) string {
 	return "inline models"
 }
 
-// execute runs an async job: waits for a slot, drives the multi-run
-// engine, and publishes events and the final state.
-func (s *Server) execute(ctx context.Context, j *job, res *resolved) {
-	// Queued: wait for an execution slot, but honor cancellation.
-	select {
-	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
-	case <-ctx.Done():
-		j.setState(StateCanceled, time.Now().UTC())
-		s.logf("serve: %s canceled while queued", j.snapshot().ID)
-		return
-	}
-	if ctx.Err() != nil {
-		j.setState(StateCanceled, time.Now().UTC())
-		return
-	}
-	j.setState(StateRunning, time.Now().UTC())
-	summary, err := s.runJob(ctx, j, res)
+// execute runs an async job's task and publishes its final state.
+func (s *Server) execute(ctx context.Context, j *job, task Task) {
+	p := &Progress{job: j, sem: s.sem, emit: j.addEvent}
+	summary, err := task(ctx, p)
+	p.release()
 	now := time.Now().UTC()
 	st := j.snapshot()
+	if err == nil || ctx.Err() != nil {
+		j.mu.Lock()
+		j.status.Summary = summary // partial aggregate of the completed runs when canceled
+		j.mu.Unlock()
+	}
 	switch {
 	case err == nil:
-		j.mu.Lock()
-		j.status.Summary = summary
-		j.mu.Unlock()
 		j.setState(StateDone, now)
 		s.logf("serve: %s done (%d/%d runs, best cost %.4f, %d cache hits, %.1f ms)",
 			st.ID, summary.Completed, summary.Requested, summary.BestCost, summary.CacheHits, summary.WallMS)
 	case ctx.Err() != nil:
-		j.mu.Lock()
-		j.status.Summary = summary // partial aggregate of the completed runs
-		j.mu.Unlock()
 		j.setState(StateCanceled, now)
-		s.logf("serve: %s canceled (%d runs completed)", st.ID, summaryCompleted(summary))
+		s.logf("serve: %s canceled (%d runs completed)", st.ID, st.Events)
 	default:
 		j.mu.Lock()
 		j.status.Error = err.Error()
@@ -409,46 +377,6 @@ func (s *Server) execute(ctx context.Context, j *job, res *resolved) {
 		j.setState(StateFailed, now)
 		s.logf("serve: %s failed: %v", st.ID, err)
 	}
-}
-
-func summaryCompleted(s *JobSummary) int {
-	if s == nil {
-		return 0
-	}
-	return s.Completed
-}
-
-// runJob drives one resolved spec on the engine, publishing per-run
-// events. Used by both the async path and the synchronous /run path.
-func (s *Server) runJob(ctx context.Context, j *job, res *resolved) (*JobSummary, error) {
-	factory, err := search.NewFactory(res.strategy, res.app, res.arch, res.cfg)
-	if err != nil {
-		return nil, err
-	}
-	if res.transfer {
-		// Warm-start from the best cached donor on this instance pair
-		// (no-op without a cache or donor). Must precede WithCache so the
-		// donor key is folded into the job's cache keys.
-		runner.ApplyTransfer(factory, s.cache)
-	}
-	fn, err := runner.WithCache(runner.CacheConfig{Cache: s.cache, Factory: factory, MaxSteps: res.maxSteps})
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	spec := j.snapshot().Spec
-	agg, err := runner.Run(ctx, res.app, runner.Options{
-		Runs:     res.runs,
-		Workers:  spec.Workers,
-		BaseSeed: spec.Seed,
-		OnResult: func(r runner.RunResult) { j.addEvent(eventOf(r)) },
-	}, fn)
-	wall := time.Since(start)
-	var summary *JobSummary
-	if agg != nil {
-		summary = summarize(agg, wall)
-	}
-	return summary, err
 }
 
 func (s *Server) jobFor(r *http.Request) (*job, bool) {
@@ -459,34 +387,27 @@ func (s *Server) jobFor(r *http.Request) (*job, bool) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	out := make([]JobStatus, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.jobs[id].snapshot())
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, s.Jobs())
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobFor(r)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: no such job %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("serve: no such job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.snapshot())
+	WriteJSON(w, http.StatusOK, j.snapshot())
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobFor(r)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: no such job %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("serve: no such job %q", r.PathValue("id")))
 		return
 	}
 	j.cancel()
 	s.logf("serve: %s cancellation requested", j.snapshot().ID)
-	writeJSON(w, http.StatusAccepted, j.snapshot())
+	WriteJSON(w, http.StatusAccepted, j.snapshot())
 }
 
 // handleStream replays the job's buffered run events as NDJSON, then
@@ -497,7 +418,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobFor(r)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: no such job %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("serve: no such job %q", r.PathValue("id")))
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -550,40 +471,30 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleRunSync computes a job inside the request: per-run NDJSON events
+// handleRun computes a job inside the request: per-run NDJSON events
 // stream as they complete, a final summary line closes the body. The run
 // inherits the request context, so a client disconnect cancels the
 // in-flight runs within one search step — and since truncated runs error
-// out, nothing partial enters the result cache.
-func (s *Server) handleRunSync(w http.ResponseWriter, r *http.Request) {
+// out, nothing partial enters the result cache. The run holds no job
+// record; an atomic counter keeps it visible to ActiveJobs, and so to
+// the drain sequence.
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+	// Count before the drain check: a run that passes the check is then
+	// always seen by a WaitIdle that follows Drain.
+	s.syncRuns.Add(1)
+	defer s.syncRuns.Add(-1)
 	if s.draining.Load() {
 		writeDraining(w)
 		return
 	}
 	spec, err := decodeSpec(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	res, err := resolve(spec)
+	task, err := s.exec(spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Build the factory before committing the 200: a spec that cannot
-	// even construct its strategy must fail as a proper 400, not as a
-	// mid-stream error line.
-	factory, err := search.NewFactory(res.strategy, res.app, res.arch, res.cfg)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if res.transfer {
-		runner.ApplyTransfer(factory, s.cache)
-	}
-	fn, err := runner.WithCache(runner.CacheConfig{Cache: s.cache, Factory: factory, MaxSteps: res.maxSteps})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -595,21 +506,15 @@ func (s *Server) handleRunSync(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 	}
 	enc := json.NewEncoder(w)
-	start := time.Now()
-	agg, runErr := runner.Run(r.Context(), res.app, runner.Options{
-		Runs:     res.runs,
-		Workers:  spec.Workers,
-		BaseSeed: spec.Seed,
-		OnResult: func(rr runner.RunResult) {
-			enc.Encode(eventOf(rr))
-			if flusher != nil {
-				flusher.Flush()
-			}
-		},
-	}, fn)
+	summary, runErr := task(r.Context(), &Progress{emit: func(e RunEvent) {
+		enc.Encode(e)
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}})
 	final := map[string]interface{}{}
-	if agg != nil {
-		final["summary"] = summarize(agg, time.Since(start))
+	if summary != nil {
+		final["summary"] = summary
 	}
 	switch {
 	case runErr == nil:

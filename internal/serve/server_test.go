@@ -58,7 +58,7 @@ func waitDone(t *testing.T, base, id string) JobStatus {
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
 		var st JobStatus
-		getJSON(t, base+"/jobs/"+id, &st)
+		getJSON(t, base+"/v1/jobs/"+id, &st)
 		if terminal(st.State) {
 			return st
 		}
@@ -78,7 +78,7 @@ func TestSubmitAndCacheHitResubmit(t *testing.T) {
 	spec := JobSpec{Scenario: "fig2-small", Strategy: "sa", Runs: 3, MaxSteps: 8}
 
 	var queued JobStatus
-	resp := postJSON(t, ts.URL+"/jobs", &spec, &queued)
+	resp := postJSON(t, ts.URL+"/v1/jobs", &spec, &queued)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d", resp.StatusCode)
 	}
@@ -90,7 +90,7 @@ func TestSubmitAndCacheHitResubmit(t *testing.T) {
 		t.Fatalf("cold job reported cache hits: %+v", cold.Summary)
 	}
 
-	postJSON(t, ts.URL+"/jobs", &spec, &queued)
+	postJSON(t, ts.URL+"/v1/jobs", &spec, &queued)
 	warm := waitDone(t, ts.URL, queued.ID)
 	if warm.State != StateDone || warm.Summary == nil {
 		t.Fatalf("warm job: %+v", warm)
@@ -111,8 +111,8 @@ func TestSubmitAndCacheHitResubmit(t *testing.T) {
 func TestStreamReplaysAndCloses(t *testing.T) {
 	_, ts := testServer(t, nil)
 	var queued JobStatus
-	postJSON(t, ts.URL+"/jobs", &JobSpec{Scenario: "pipeline-chain-tiny", Runs: 3, MaxSteps: 4}, &queued)
-	resp, err := http.Get(ts.URL + "/jobs/" + queued.ID + "/stream")
+	postJSON(t, ts.URL+"/v1/jobs", &JobSpec{Scenario: "pipeline-chain-tiny", Runs: 3, MaxSteps: 4}, &queued)
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + queued.ID + "/stream")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestSyncRunDisconnectCancelsAndNothingPartialCached(t *testing.T) {
 	spec := JobSpec{Scenario: "layered-160", Strategy: "sa", Runs: 4, SAIters: 1 << 30}
 	b, _ := json.Marshal(&spec)
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/run", bytes.NewReader(b))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/run", bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestSyncRunDisconnectCancelsAndNothingPartialCached(t *testing.T) {
 		t.Fatalf("%d partial results were cached", n)
 	}
 	var stats struct{ Entries int }
-	getJSON(t, ts.URL+"/cache", &stats)
+	getJSON(t, ts.URL+"/v1/cache", &stats)
 	if stats.Entries != 0 {
 		t.Fatalf("cache endpoint reports %d resident entries", stats.Entries)
 	}
@@ -201,10 +201,10 @@ func TestCancelAsyncJob(t *testing.T) {
 	_, ts := testServer(t, cache)
 	spec := JobSpec{Scenario: "layered-160", Strategy: "sa", Runs: 8, SAIters: 1 << 30}
 	var queued JobStatus
-	postJSON(t, ts.URL+"/jobs", &spec, &queued)
+	postJSON(t, ts.URL+"/v1/jobs", &spec, &queued)
 	time.Sleep(50 * time.Millisecond)
 
-	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+queued.ID, nil)
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+queued.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestBadSpecsRejected(t *testing.T) {
 		`{"scenario":"fig2-small","strategy":"bogus"}`, // unknown strategy
 	}
 	for _, body := range cases {
-		for _, path := range []string{"/jobs", "/run"} {
+		for _, path := range []string{"/v1/jobs", "/v1/run"} {
 			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
@@ -243,7 +243,7 @@ func TestBadSpecsRejected(t *testing.T) {
 			}
 		}
 	}
-	resp, err := http.Get(ts.URL + "/jobs/nope")
+	resp, err := http.Get(ts.URL + "/v1/jobs/nope")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,16 +261,16 @@ func TestFinishedJobsPruned(t *testing.T) {
 	defer ts.Close()
 	var last JobStatus
 	for i := 0; i < 6; i++ {
-		postJSON(t, ts.URL+"/jobs", &JobSpec{Scenario: "pipeline-chain-tiny", Runs: 1, MaxSteps: 2, Seed: int64(i)}, &last)
+		postJSON(t, ts.URL+"/v1/jobs", &JobSpec{Scenario: "pipeline-chain-tiny", Runs: 1, MaxSteps: 2, Seed: int64(i)}, &last)
 		waitDone(t, ts.URL, last.ID)
 	}
 	var all []JobStatus
-	getJSON(t, ts.URL+"/jobs", &all)
+	getJSON(t, ts.URL+"/v1/jobs", &all)
 	if len(all) > 4 { // MaxFinished finished + the one just submitted
 		t.Fatalf("job registry grew to %d records", len(all))
 	}
 	// The most recent job survives; the oldest has been evicted.
-	resp, err := http.Get(ts.URL + "/jobs/job-000001")
+	resp, err := http.Get(ts.URL + "/v1/jobs/job-000001")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestScenarioCatalogEndpoint(t *testing.T) {
 		Name   string `json:"name"`
 		Family string `json:"family"`
 	}
-	getJSON(t, ts.URL+"/scenarios", &out)
+	getJSON(t, ts.URL+"/v1/scenarios", &out)
 	if len(out) < 10 {
 		t.Fatalf("catalog has %d entries", len(out))
 	}
@@ -312,16 +312,58 @@ func TestQueuedJobsRespectMaxJobs(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	var first, second JobStatus
-	postJSON(t, ts.URL+"/jobs", &JobSpec{Scenario: "pipeline-chain-tiny", Runs: 4, MaxSteps: 30}, &first)
-	postJSON(t, ts.URL+"/jobs", &JobSpec{Scenario: "pipeline-chain-tiny", Runs: 4, MaxSteps: 30, Seed: 99}, &second)
+	postJSON(t, ts.URL+"/v1/jobs", &JobSpec{Scenario: "pipeline-chain-tiny", Runs: 4, MaxSteps: 30}, &first)
+	postJSON(t, ts.URL+"/v1/jobs", &JobSpec{Scenario: "pipeline-chain-tiny", Runs: 4, MaxSteps: 30, Seed: 99}, &second)
 	a := waitDone(t, ts.URL, first.ID)
 	b := waitDone(t, ts.URL, second.ID)
 	if a.State != StateDone || b.State != StateDone {
 		t.Fatalf("states %s/%s", a.State, b.State)
 	}
 	var all []JobStatus
-	getJSON(t, ts.URL+"/jobs", &all)
+	getJSON(t, ts.URL+"/v1/jobs", &all)
 	if len(all) != 2 {
 		t.Fatalf("job list has %d entries", len(all))
+	}
+}
+
+// TestWaitIdleCountsSyncRuns pins the drain contract for POST /v1/run:
+// a synchronous run in flight counts as active work, so WaitIdle cannot
+// return while it computes (a draining fleet worker would otherwise cut
+// off the coordinator's job stream).
+func TestWaitIdleCountsSyncRuns(t *testing.T) {
+	s, ts := testServer(t, nil)
+	spec := JobSpec{Scenario: "layered-160", Strategy: "sa", Runs: 1, SAIters: 1 << 30}
+	b, _ := json.Marshal(&spec)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/run", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The server flushes the headers before it starts computing, so the
+	// run is in flight once Do returns.
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if n := s.ActiveJobs(); n != 1 {
+		t.Fatalf("ActiveJobs() = %d during a synchronous run, want 1", n)
+	}
+
+	s.Drain()
+	short, cancelShort := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancelShort()
+	if err := s.WaitIdle(short); err == nil {
+		t.Fatal("WaitIdle returned while a synchronous run was still computing")
+	}
+
+	// Hanging up cancels the run; the drain then completes.
+	cancel()
+	resp.Body.Close()
+	idle, cancelIdle := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancelIdle()
+	if err := s.WaitIdle(idle); err != nil {
+		t.Fatalf("WaitIdle after the run was cancelled: %v (active=%d)", err, s.ActiveJobs())
 	}
 }

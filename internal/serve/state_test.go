@@ -229,4 +229,20 @@ func TestWaitIdleHonorsContext(t *testing.T) {
 	if err := s.WaitIdle(ctx); err == nil {
 		t.Fatal("WaitIdle returned nil with a job still active")
 	}
+
+	// Cancel the job and wait for it, so it cannot log into a finished test.
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	idle, cancelIdle := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancelIdle()
+	if err := s.WaitIdle(idle); err != nil {
+		t.Fatalf("WaitIdle after cancel: %v", err)
+	}
 }

@@ -4,7 +4,10 @@
 # (two passes over the identical deterministic sequence: pass one cold,
 # pass two warm). Asserts zero errors, a warm cache-hit ratio of at
 # least 90%, and leaves the dseload JSON report as the CI artifact.
-# Finally SIGTERMs every worker to exercise the graceful-drain path.
+# Then runs dsexplore -server against the coordinator (a synchronous
+# POST /v1/run streamed through the fleet) and fails if it exits
+# non-zero. Finally SIGTERMs every worker to exercise the graceful-drain
+# path.
 #
 # Env knobs: FLEET_SMOKE_JSON (report path, default FLEET_SMOKE.json),
 # FLEET_SMOKE_PORT (coordinator port, workers take the next three).
@@ -37,9 +40,10 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "fleet-smoke: building race-instrumented dsed + dseload"
+echo "fleet-smoke: building race-instrumented dsed + dseload + dsexplore"
 go build -race -o "$BIN/dsed" ./cmd/dsed
 go build -race -o "$BIN/dseload" ./cmd/dseload
+go build -race -o "$BIN/dsexplore" ./cmd/dsexplore
 
 echo "fleet-smoke: coordinator on $COORD"
 "$BIN/dsed" -coordinator -addr "$COORD" -heartbeat-timeout 3s &
@@ -74,6 +78,11 @@ fi
     -mix "fig2-small=3,pipeline-fft-small=2,forkjoin-tiny=1" \
     -rps 10 -n 50 -passes 2 -runs 2 -max-steps 8 \
     -report "$OUT" -max-errors 0 -min-hits 1 -min-hit-ratio 0.9
+
+# Every tool works unchanged against a coordinator: dsexplore -server
+# streams its job through the coordinator's POST /v1/run.
+echo "fleet-smoke: dsexplore -server through the coordinator"
+"$BIN/dsexplore" -server "http://$COORD" -motion -runs 4
 
 echo "fleet-smoke: metrics after replay"
 curl -fsS "http://$COORD/v1/metrics" | grep -E 'dse_fleet_(workers|requeues)' || true

@@ -17,8 +17,10 @@ SCHED_GATE ?= 0.05
 # leg (CI runs batch=1, batch=8 shadow, and batch=8 lanes).
 BATCH ?= 8
 BATCH_KERNEL ?= auto
+# The revision perf-ab measures the working tree against.
+PERF_AB_REV ?= HEAD
 
-.PHONY: all build test race bench bench-json bench-check bench-baseline bench-batch-smoke bench-diff bench-micro-json dsed-smoke fleet-smoke fleet-report docs-check fmt fmt-check vet ci
+.PHONY: all build test race bench bench-json bench-check bench-baseline bench-batch-smoke bench-diff bench-micro-json dsed-smoke fleet-smoke fleet-report perf-ab docs-check fmt fmt-check vet ci
 
 all: build test
 
@@ -126,6 +128,13 @@ fleet-smoke:
 # bench/FLEET_PR9_fleet.json.
 fleet-report:
 	./scripts/fleet_report.sh
+
+# A/B of the end-to-end benchmark (perfbench/, non-race) between
+# $(PERF_AB_REV) and the working tree: change/parent ratios per metric and
+# seed, and their geometric mean. PERF_AB_WORKLOADS, PERF_AB_SEEDS and
+# PERF_AB_SECONDS narrow the run (see the script's header).
+perf-ab:
+	./scripts/perf_ab.sh $(PERF_AB_REV)
 
 # Documentation lint: every package (library and command alike) must carry
 # a package comment ("// Package x ..." or "// Command x ...").

@@ -1,19 +1,17 @@
 package graph
 
-import "math/bits"
-
 // Evaluator maintains the longest-path start times of a changing DAG
 // incrementally. After a batch of edge insertions/removals and duration
-// changes, Flush refreshes only the downstream region that the batch can
-// have affected, processing nodes in the dynamically maintained topological
-// order.
+// changes, Flush recomputes the suffix of the dynamically maintained
+// topological order that starts at the earliest node the batch touched;
+// everything before it cannot have changed.
 //
 // This stands in for the paper's "Woodbury-type update formula" (Section
 // 4.4, citing Carré): the published text does not give the formula, so we
-// substitute the standard worklist re-evaluation over a Pearce–Kelly
-// dynamic order, which has the same property the paper exploits — local
-// moves touch only a local region of the search graph. Property tests check
-// it against Longest (the from-scratch evaluation) on random edit sequences.
+// substitute a positional re-evaluation over a Pearce–Kelly dynamic order,
+// which has the same property the paper exploits — local moves leave the
+// region upstream of them untouched. Property tests check it against
+// Longest (the from-scratch evaluation) on random edit sequences.
 type Evaluator struct {
 	g   *DAG
 	dt  *DynTopo
@@ -22,14 +20,11 @@ type Evaluator struct {
 	start []int64
 	fin   []int64
 
-	dirty Bits
-	// roots collects the nodes marked between flushes (unsorted); posDirty
-	// is the in-drain worklist, a bit set keyed by topological *position* so
-	// the drain visits nodes in order by scanning words front to back.
-	roots    []int32
-	posDirty Bits
+	// roots collects the nodes marked since the last Flush, unsorted and
+	// possibly repeated: Flush only needs their lowest position.
+	roots []int32
 
-	// maxFin/maxNode track the makespan incrementally: the drain updates
+	// maxFin/maxNode track the makespan incrementally: the sweep updates
 	// them as fin values change, so Flush does not rescan every node. Only
 	// when the tracked argmax node's own fin *decreases* does the true
 	// maximum become unknown, and rescan requests the (rare) full pass.
@@ -50,13 +45,11 @@ func NewEvaluator(g *DAG, dur []int64) (*Evaluator, error) {
 		return nil, err
 	}
 	e := &Evaluator{
-		g:        g,
-		dt:       dt,
-		dur:      dur,
-		start:    make([]int64, g.N()),
-		fin:      make([]int64, g.N()),
-		dirty:    NewBits(g.N()),
-		posDirty: NewBits(g.N()),
+		g:     g,
+		dt:    dt,
+		dur:   dur,
+		start: make([]int64, g.N()),
+		fin:   make([]int64, g.N()),
 	}
 	e.fullEval()
 	return e, nil
@@ -134,77 +127,46 @@ func (e *Evaluator) SetDur(v int, d int64) {
 // Dur returns the current duration of node v.
 func (e *Evaluator) Dur(v int) int64 { return e.dur[v] }
 
-func (e *Evaluator) mark(v int) {
-	if !e.dirty.Get(v) {
-		e.dirty.Set(v)
-		e.roots = append(e.roots, int32(v))
-	}
-}
+func (e *Evaluator) mark(v int) { e.roots = append(e.roots, int32(v)) }
 
 // Flush processes all pending changes and returns the current makespan.
 //
-// The drain worklist is a bit set keyed by topological position: scanning
-// its words front to back visits dirty nodes in topological order with no
-// sorting or ordered inserts. Every node discovered during the drain is a
-// successor of the node being processed, so its position — and hence its
-// bit — is strictly ahead of the scan cursor: either a higher bit of the
-// word in hand (OR'd into the working copy) or a later word. Positions
-// never move mid-drain (edge mutations happen only between flushes), and
-// each node is recomputed at most once per Flush.
+// Every pending change sits at a marked node, and only the marked nodes'
+// descendants can change with them. All of those lie at or after the
+// lowest marked position of the current order (read here, after any
+// OnAddEdge reorders), so one dense pass over that suffix, recomputing
+// each node from its predecessors in order, restores the fixed point. On
+// the schedule graphs nearly every node behind a move changes anyway, so
+// the pass does not pay for a worklist that would prune almost nothing.
 func (e *Evaluator) Flush() int64 {
-	if len(e.roots) > 0 {
-		minPos := e.g.N()
-		for _, v := range e.roots {
-			p := e.dt.ord[v]
-			e.posDirty.Set(p)
-			if p < minPos {
-				minPos = p
-			}
+	if len(e.roots) == 0 {
+		return e.maxFin
+	}
+	minPos := e.g.N()
+	for _, v := range e.roots {
+		if p := e.dt.ord[v]; p < minPos {
+			minPos = p
 		}
-		e.roots = e.roots[:0]
-		pd := e.posDirty
-		for wi := minPos >> 6; wi < len(pd); wi++ {
-			w := pd[wi]
-			if w == 0 {
-				continue
-			}
-			pd[wi] = 0
-			for w != 0 {
-				v := e.dt.pos[wi<<6+bits.TrailingZeros64(w)]
-				w &= w - 1
-				e.dirty.Clear(v)
-				ns := e.recomputeStart(v)
-				nf := ns + e.dur[v]
-				if ns == e.start[v] && nf == e.fin[v] {
-					continue
-				}
-				e.start[v] = ns
-				e.fin[v] = nf
-				if nf >= e.maxFin {
-					e.maxFin, e.maxNode = nf, int32(v)
-				} else if int32(v) == e.maxNode {
-					// The argmax node shrank; the true maximum may now be
-					// a node this drain never touched.
-					e.rescan = true
-				}
-				for _, h := range e.g.succ[v] {
-					s := int(h.to)
-					if e.dirty.Get(s) {
-						continue
-					}
-					e.dirty.Set(s)
-					p := e.dt.ord[s]
-					if p>>6 == wi {
-						w |= 1 << (uint(p) & 63)
-					} else {
-						pd.Set(p)
-					}
-				}
-			}
+	}
+	e.roots = e.roots[:0]
+	for _, v := range e.dt.pos[minPos:] {
+		ns := e.recomputeStart(v)
+		nf := ns + e.dur[v]
+		if ns == e.start[v] && nf == e.fin[v] {
+			continue
 		}
-		if e.rescan {
-			e.rescanMax()
+		e.start[v] = ns
+		e.fin[v] = nf
+		if nf >= e.maxFin {
+			e.maxFin, e.maxNode = nf, int32(v)
+		} else if int32(v) == e.maxNode {
+			// The argmax node shrank; the true maximum may now be a node
+			// this sweep never changed.
+			e.rescan = true
 		}
+	}
+	if e.rescan {
+		e.rescanMax()
 	}
 	return e.maxFin
 }

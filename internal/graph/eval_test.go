@@ -162,3 +162,122 @@ func TestEvaluatorRandomEditsMatchFull(t *testing.T) {
 		evalMatchesFull(t, e, durNow)
 	}
 }
+
+// newRandomEvaluator builds an evaluator over a random DAG with random
+// durations.
+func newRandomEvaluator(t *testing.T, r *rand.Rand, n int) *Evaluator {
+	t.Helper()
+	dur := make([]int64, n)
+	for i := range dur {
+		dur[i] = int64(1 + r.Intn(60))
+	}
+	e, err := NewEvaluator(randomDAG(r, n, 0.15), dur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// Property: a node marked and then moved to an earlier position by a later
+// OnAddEdge reorder is still swept from its position at Flush time.
+func TestEvaluatorFlushAfterReorder(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	moved := 0
+	for trial := 0; trial < 40; trial++ {
+		n := 8 + r.Intn(20)
+		e := newRandomEvaluator(t, r, n)
+		for round := 0; round < 40; round++ {
+			// Mark u (a duration change), then insert an edge from u to
+			// an earlier node, which pulls u ahead of it.
+			u := r.Intn(n)
+			e.SetDur(u, int64(1+r.Intn(60)))
+			before := e.dt.Pos(u)
+			if before == 0 {
+				continue
+			}
+			v := e.dt.NodeAt(r.Intn(before))
+			if err := e.AddEdge(u, v, int64(r.Intn(20))); err != nil && err != ErrCycle {
+				t.Fatal(err)
+			}
+			if e.dt.Pos(u) < before {
+				moved++
+			}
+			if round%3 == 0 {
+				ed := e.Graph().Edges()
+				if len(ed) > 0 {
+					x := ed[r.Intn(len(ed))]
+					e.RemoveEdge(x.U, x.V)
+				}
+			}
+			evalMatchesFull(t, e, e.dur)
+		}
+	}
+	if moved < 100 {
+		t.Fatalf("only %d marked nodes moved before their flush", moved)
+	}
+}
+
+// Property: marking a node many times between flushes (repeated duration
+// changes, repeated weight updates of one edge) is harmless.
+func TestEvaluatorDuplicateMarks(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	dups := 0
+	for trial := 0; trial < 40; trial++ {
+		n := 6 + r.Intn(20)
+		e := newRandomEvaluator(t, r, n)
+		edges := e.Graph().Edges()
+		if len(edges) == 0 {
+			continue
+		}
+		for round := 0; round < 30; round++ {
+			v := r.Intn(n)
+			ed := edges[r.Intn(len(edges))]
+			for k := 0; k < 1+r.Intn(4); k++ {
+				e.SetDur(v, int64(1+r.Intn(60)))
+				e.AddEdge(ed.U, ed.V, int64(r.Intn(40))) //nolint:errcheck // an existing edge: a weight update
+			}
+			seen := map[int32]bool{}
+			for _, x := range e.roots {
+				if seen[x] {
+					dups++
+					break
+				}
+				seen[x] = true
+			}
+			evalMatchesFull(t, e, e.dur)
+		}
+	}
+	if dups < 100 {
+		t.Fatalf("only %d flushes saw duplicate marks", dups)
+	}
+}
+
+// Property: when the argmax node's fin shrinks, Flush finds the new
+// maximum even where the sweep changed no node (the rescan path).
+func TestEvaluatorArgmaxShrinks(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	shrunk := 0
+	for trial := 0; trial < 40; trial++ {
+		n := 4 + r.Intn(20)
+		e := newRandomEvaluator(t, r, n)
+		for round := 0; round < 30; round++ {
+			mk := e.Flush()
+			top := int(e.maxNode)
+			if r.Intn(2) == 0 {
+				e.SetDur(top, int64(r.Intn(int(e.dur[top])+1)))
+			} else if ps := e.Graph().pred[top]; len(ps) > 0 {
+				e.RemoveEdge(int(ps[r.Intn(len(ps))].to), top)
+			}
+			evalMatchesFull(t, e, e.dur)
+			if e.fin[top] < mk {
+				shrunk++
+			}
+			// Grow a random node so the maximum keeps moving around.
+			v := r.Intn(n)
+			e.SetDur(v, e.dur[v]+int64(r.Intn(40)))
+		}
+	}
+	if shrunk < 100 {
+		t.Fatalf("only %d flushes shrank the argmax node", shrunk)
+	}
+}

@@ -65,9 +65,9 @@ type LaneSweep struct {
 	outOps []laneEdgeOp
 	durOps []laneDurOp
 
-	// The pass worklists mirror Evaluator.Flush: a bit set keyed by base
-	// topological position, scanned front to back. Marks behind the
-	// cursor go to the next-pass pair.
+	// The pass worklists are bit sets keyed by base topological position,
+	// scanned front to back. Marks behind the cursor go to the next-pass
+	// pair.
 	posDirty Bits
 	nxtDirty Bits
 	minPos   int

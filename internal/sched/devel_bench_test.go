@@ -3,6 +3,10 @@ package sched
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/apps"
+	"repro/internal/model"
+	"repro/internal/scenario/archgen"
 )
 
 // This file compares alternative implementations of internal evaluator
@@ -11,6 +15,10 @@ import (
 // stays justified by a number in the repo rather than by folklore.
 //
 // go test -benchmem -bench=DevelNodeLayout ./internal/sched
+
+// The isolated rungs of the layer ladder live here and in graph's
+// devel_bench_test.go: BenchmarkDevelFlush (rung 1, relaxation) and
+// BenchmarkDevelIncUpdate below (rung 2, per-move evaluation).
 
 // aosNode replicates the packed per-node record the evaluator carried
 // before the struct-of-arrays conversion: hot longest-path fields (start,
@@ -149,4 +157,87 @@ func BenchmarkDevelNodeLayout(b *testing.B) {
 		}
 		_ = mk
 	})
+}
+
+// layeredXL builds a pair the size and shape of the layered-xl scenario
+// (160-task layered DAG, 4 processors + 2 RCs, contended bus).
+func layeredXL(tb testing.TB) (*model.App, *model.Arch) {
+	tb.Helper()
+	g, ok := apps.Lookup("layered")
+	if !ok {
+		tb.Fatal("no layered family")
+	}
+	rng := rand.New(rand.NewSource(305))
+	app, err := g.Build(rng, apps.XL)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	acfg := archgen.DefaultConfig()
+	acfg.Processors, acfg.RCs = 4, 2
+	acfg.NCLBMin, acfg.NCLBMax = 2500, 4000
+	acfg.SpeedMin, acfg.SpeedMax = 0.6, 1.4
+	arch, err := archgen.Generate(rng, acfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return app, arch
+}
+
+// incCall is one recorded IncEvaluator.Update call: the mapping and the
+// change set it was given.
+type incCall struct {
+	m                 *Mapping
+	tasks, procs, rcs []int32
+}
+
+// BenchmarkDevelIncUpdate replays a fixed layered-xl move stream through
+// IncEvaluator.Update: the per-move evaluation rung, with the relaxation
+// rung (graph.Evaluator.Flush, see BenchmarkDevelFlush) inside it. The
+// stream is recorded once, checked move by move against the full rebuild,
+// and mixes accepted, rejected and infeasible moves the way core drives
+// the evaluator. ns/op is per Update call.
+//
+// go test -run=NONE -bench=DevelIncUpdate ./internal/sched
+func BenchmarkDevelIncUpdate(b *testing.B) {
+	app, arch := layeredXL(b)
+	rng := rand.New(rand.NewSource(1))
+	h := newIncHarness(b, app, arch, rng)
+	initial := h.prev.Clone()
+	var calls []incCall
+	for len(calls) < 500 {
+		if !h.randomMove(rng) {
+			continue
+		}
+		cs := h.cs
+		calls = append(calls, incCall{
+			m:     h.m.Clone(),
+			tasks: append([]int32(nil), cs.Tasks...),
+			procs: append([]int32(nil), cs.Procs...),
+			rcs:   append([]int32(nil), cs.RCs...),
+		})
+		if h.update() {
+			h.settle(rng.Intn(4) == 0)
+		}
+	}
+	inc, err := NewIncEvaluator(app, arch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cs := NewChangeSet(app.N(), len(arch.Processors), len(arch.RCs))
+	next := len(calls)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if next == len(calls) {
+			b.StopTimer()
+			if _, err := inc.Install(initial); err != nil {
+				b.Fatal(err)
+			}
+			next = 0
+			b.StartTimer()
+		}
+		c := &calls[next]
+		cs.Tasks, cs.Procs, cs.RCs = c.tasks, c.procs, c.rcs
+		inc.Update(c.m, cs) //nolint:errcheck // infeasible moves are part of the stream
+		next++
+	}
 }

@@ -51,10 +51,11 @@ type layerPatch struct {
 //
 // Bus contention needs the two-pass semantics of the reference path: the
 // transaction serialization order is derived from the *chain-free* start
-// times. A contention-mode evaluator therefore maintains two graphs in
-// lockstep — p1 without the chain (feasibility and transaction ordering)
-// and full with it (the makespan) — and likewise only diffs the chain
-// against the new order.
+// times. A contention-mode evaluator therefore maintains two graphs — p1
+// without the chain (feasibility and transaction ordering) and full with
+// it (the makespan) — and likewise only diffs the chain against the new
+// order. Layer insertions reach full only after its stale chain links are
+// gone (see finish), so full never sees a phantom cycle.
 //
 // Results are bit-identical to Evaluator's: both paths derive the same
 // edge multiset and the same contention order (pass-1 start times with the
@@ -73,6 +74,10 @@ type IncEvaluator struct {
 	// Installed dynamic layers (edge lists present in both graphs).
 	swEdges [][]edge3 // per processor
 	rcEdges [][]edge3 // per RC
+
+	// queued holds the layer insertions already in p1 that full receives
+	// in finish, once its stale chain links are removed.
+	queued []edge3
 
 	// Patch scratch.
 	fresh   []edge3 // arena of freshly generated layer edge lists
@@ -227,10 +232,11 @@ func (e *IncEvaluator) Install(m *Mapping) (Result, error) {
 }
 
 // Update re-derives the layers named by the change set from mapping m and
-// returns the fresh evaluation. On ErrOrderCycle the graphs hold a partial
-// patch: the caller must revert m to its previous (acyclic) state and call
-// Update again with the same change set, which is guaranteed to succeed and
-// restores the evaluator exactly.
+// returns the fresh evaluation. On ErrOrderCycle both graphs hold the same
+// partial patch and the stored layer lists record it exactly, so a later
+// Update whose change set still names every layer of the failed one (core
+// keeps its change set across a failed move) re-derives them from whatever
+// acyclic mapping it is given.
 func (e *IncEvaluator) Update(m *Mapping, cs *ChangeSet) (Result, error) {
 	if !e.installed {
 		panic("sched: IncEvaluator.Update before Install")
@@ -260,6 +266,7 @@ func (e *IncEvaluator) Update(m *Mapping, cs *ChangeSet) (Result, error) {
 func (e *IncEvaluator) beginPatches() {
 	e.fresh = e.fresh[:0]
 	e.patches = e.patches[:0]
+	e.queued = e.queued[:0]
 }
 
 // layerOf returns the stored edge list of a staged patch.
@@ -430,7 +437,8 @@ func (ix *uvIndex) find(u, v int32) int {
 // applyPatches performs every staged diff: first all removals, then all
 // insertions. The global remove-before-add order matters — a new edge of
 // one layer could otherwise close a phantom cycle through a doomed old
-// edge of another layer that merely had not been removed yet.
+// edge of another layer that merely had not been removed yet. Removals go
+// to both graphs, insertions to the feasibility graph (see addEdge).
 func (e *IncEvaluator) applyPatches() error {
 	for i := range e.patches {
 		pt := &e.patches[i]
@@ -478,8 +486,13 @@ func (e *IncEvaluator) applyPatches() error {
 			}
 			// Absent edge, or weight-only change (AddEdge on an existing
 			// edge updates the weight and marks, with no cycle risk).
-			if err := e.addEdgeBoth(ne); err != nil {
+			if err := e.addEdge(ne); err != nil {
 				e.recordPartial(i, wi)
+				// Bring full to p1's edge set, the one the recorded lists
+				// describe: no chain, every applied insertion. (Both steps
+				// are no-ops when the bus is contention-free.)
+				e.dropChain()
+				e.installQueued()
 				return err
 			}
 		}
@@ -525,29 +538,29 @@ func (e *IncEvaluator) recordPartial(failedIdx, added int) {
 	}
 }
 
-// addEdgeBoth inserts one sequentialization edge into both graphs.
-//
-// Feasibility is decided by the chain-free graph: the full graph may
-// report a phantom cycle through a stale contention-chain edge (the chain
-// still follows the previous move's start times). In that case the chain
-// is dropped — finish re-derives it anyway — and the insertion retried.
-func (e *IncEvaluator) addEdgeBoth(ed edge3) error {
-	if e.p1 != nil {
-		if err := e.p1.AddEdge(int(ed.u), int(ed.v), ed.w); err != nil {
-			return ErrOrderCycle
-		}
-		if err := e.full.AddEdge(int(ed.u), int(ed.v), ed.w); err != nil {
-			e.dropChain()
-			if err := e.full.AddEdge(int(ed.u), int(ed.v), ed.w); err != nil {
-				panic(fmt.Sprintf("sched: edge (%d,%d) cyclic in chain-free full graph but acyclic in p1", ed.u, ed.v))
-			}
-		}
-		return nil
-	}
-	if err := e.full.AddEdge(int(ed.u), int(ed.v), ed.w); err != nil {
+// addEdge inserts one sequentialization edge into the feasibility graph —
+// p1, or full when the bus is contention-free — and, under contention,
+// queues it for full. The chain-free graph alone decides feasibility.
+func (e *IncEvaluator) addEdge(ed edge3) error {
+	if err := e.orderGraph().AddEdge(int(ed.u), int(ed.v), ed.w); err != nil {
 		return ErrOrderCycle
 	}
+	if e.p1 != nil {
+		e.queued = append(e.queued, ed)
+	}
 	return nil
+}
+
+// installQueued applies the queued layer insertions to full. Callers first
+// remove every chain link the final graph does not keep, so full is then a
+// subgraph of an acyclic graph and the insertions cannot close a cycle.
+func (e *IncEvaluator) installQueued() {
+	for _, ed := range e.queued {
+		if err := e.full.AddEdge(int(ed.u), int(ed.v), ed.w); err != nil {
+			panic(fmt.Sprintf("sched: layer edge (%d,%d) acyclic in p1 but cyclic in full", ed.u, ed.v))
+		}
+	}
+	e.queued = e.queued[:0]
 }
 
 // ---------- durations and accounting ----------
@@ -629,12 +642,11 @@ func (e *IncEvaluator) dropChain() {
 
 // finish flushes the pending patches, re-derives the bus contention chain
 // from the chain-free start times (patching only the edges whose order
-// changed) and assembles the Result.
+// changed) and assembles the Result. Under contention the order is: flush
+// p1, sort the cross-resource flows, unlink the chain links that changed,
+// install the queued layer insertions, link the new chain, flush full.
 func (e *IncEvaluator) finish() (Result, error) {
-	var mk int64
-	if e.p1 == nil {
-		mk = e.full.Flush()
-	} else {
+	if e.p1 != nil {
 		e.p1.Flush()
 		if e.crossDead > 0 {
 			w := 0
@@ -649,16 +661,11 @@ func (e *IncEvaluator) finish() (Result, error) {
 			e.crossIdx = e.crossIdx[:w]
 			e.crossDead = 0
 		}
-		if len(e.crossIdx) > 1 {
-			e.sortCrossByStart()
-			e.patchChain()
-		} else {
-			e.dropChain()
-		}
-		mk = e.full.Flush()
+		e.sortCrossByStart()
+		e.patchChain()
 	}
 	return Result{
-		Makespan:        model.Time(mk),
+		Makespan:        model.Time(e.full.Flush()),
 		InitialReconfig: model.Time(e.sumInit),
 		DynamicReconfig: model.Time(e.sumDyn),
 		Comm:            model.Time(e.sumComm),
@@ -669,13 +676,14 @@ func (e *IncEvaluator) finish() (Result, error) {
 }
 
 // patchChain diffs the installed contention chain against the freshly
-// sorted crossIdx and applies only the changed edges to the full graph.
-// Chain edges follow the chain-free start order, so insertion can never
-// close a cycle: around any would-be cycle the chain-free starts must be
-// non-decreasing, hence all equal, which forces every graph edge on it to
-// leave a zero-duration node and every chain edge to leave a positive-
-// duration one — so the cycle would consist of chain edges alone, and the
-// chain is a simple path.
+// sorted crossIdx, removes the links that changed, installs the queued
+// layer insertions and adds the missing links. Every graph along the way
+// is a subgraph of the final one (layers plus new chain), which is
+// acyclic: chain edges follow the chain-free start order, so around any
+// would-be cycle the chain-free starts must be non-decreasing, hence all
+// equal, which forces every graph edge on it to leave a zero-duration node
+// and every chain edge to leave a positive-duration one — so the cycle
+// would consist of chain edges alone, and the chain is a simple path.
 func (e *IncEvaluator) patchChain() {
 	for i := 0; i+1 < len(e.crossIdx); i++ {
 		e.newNext[e.crossIdx[i]] = e.crossIdx[i+1]
@@ -687,6 +695,7 @@ func (e *IncEvaluator) patchChain() {
 			e.busNext[a] = -1
 		}
 	}
+	e.installQueued()
 	// Add the missing links and reset the scratch.
 	for i := 0; i+1 < len(e.crossIdx); i++ {
 		a, b := e.crossIdx[i], e.crossIdx[i+1]

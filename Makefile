@@ -131,8 +131,8 @@ fleet-report:
 
 # A/B of the end-to-end benchmark (perfbench/, non-race) between
 # $(PERF_AB_REV) and the working tree: change/parent ratios per metric and
-# seed, and their geometric mean. PERF_AB_WORKLOADS, PERF_AB_SEEDS and
-# PERF_AB_SECONDS narrow the run (see the script's header).
+# seed, and their geometric mean. PERF_AB_WORKLOADS and PERF_AB_SEEDS
+# narrow the run (see the script's header).
 perf-ab:
 	./scripts/perf_ab.sh $(PERF_AB_REV)
 

@@ -2,12 +2,14 @@
 # A/B the end-to-end benchmark (perfbench/) between a git revision and the
 # working tree:
 #
-#   scripts/perf_ab.sh <rev>          # or: make perf-ab REV=<rev>
+#   scripts/perf_ab.sh <rev>          # or: make perf-ab PERF_AB_REV=<rev>
 #
-# Exports <rev> into a temporary directory, builds perfbench (non-race)
-# there and in the working tree, runs both on every seed, and prints the
-# change/parent ratio of each end-to-end metric per seed and its geometric
-# mean over the seeds (below 1 is lower in the working tree).
+# Exports <rev> into a temporary directory and runs each side with that
+# tree's own perfbench/run.sh (a non-race build, its Go caches kept under a
+# per-side temporary CARGO_TARGET_DIR) on every seed, at perfbench's own
+# run length. It prints the change/parent ratio of each end-to-end metric
+# per seed and its geometric mean over the seeds (below 1 is lower in the
+# working tree).
 #
 # anneal-xl and anneal-batch keep one goroutine busy, so on each seed the
 # two builds run side by side and see the same host speed. The other
@@ -16,37 +18,44 @@
 #
 # Environment: PERF_AB_WORKLOADS (default: all four workloads),
 # PERF_AB_SEEDS (default "601 602 603"; keep the held-out seed 9001 for a
-# final check), PERF_AB_SECONDS (default 25), PERF_AB_OUT (keep each run's
-# output there instead of in a temporary directory).
+# final check).
 set -euo pipefail
 
 rev=${1:?usage: scripts/perf_ab.sh <rev>}
 workloads=${PERF_AB_WORKLOADS:-anneal-xl anneal-batch bandit-medium serve-mix}
 seeds=${PERF_AB_SEEDS:-601 602 603}
-seconds=${PERF_AB_SECONDS:-25}
 
 root=$(git rev-parse --show-toplevel)
 sha=$(git -C "$root" rev-parse --verify "$rev^{commit}")
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-out=${PERF_AB_OUT:-$tmp/out}
-mkdir -p "$out" "$tmp/parent" "$tmp/build-parent" "$tmp/build-change"
+out=$tmp/out
+mkdir -p "$out" "$tmp/parent"
 
 # An exported tree, not a worktree: an interrupted run leaves nothing
 # registered in the repository.
 git -C "$root" archive "$sha" | tar -x -C "$tmp/parent"
 
-build() { # <tree> <binary>
-    (cd "$1/perfbench" && GOWORK=off GOTOOLCHAIN=local GOPROXY=off go build -o "$2" .)
+# perfbench <side> <args>: perfbench/run.sh of that side's tree.
+perfbench() {
+    local side=$1 tree=$root
+    shift
+    [ "$side" = parent ] && tree=$tmp/parent
+    (cd "$tree" && CARGO_TARGET_DIR="$tmp/build-$side" bash perfbench/run.sh "$@")
 }
-build "$tmp/parent" "$tmp/build-parent/perfbench"
-build "$root" "$tmp/build-change/perfbench"
+
+# Build both sides up front (-h builds, prints the usage and exits), so no
+# cold build overlaps the other side's measured run.
+for side in parent change; do
+    if ! perfbench "$side" -h >"$tmp/build-$side.log" 2>&1; then
+        cat "$tmp/build-$side.log" >&2
+        echo "perf-ab: building perfbench ($side) failed" >&2
+        exit 1
+    fi
+done
 
 run() { # <side> <workload> <seed>
-    local tree=$root
-    [ "$1" = parent ] && tree=$tmp/parent
-    (cd "$tree" && CARGO_TARGET_DIR="$tmp/build-$1" "$tmp/build-$1/perfbench" \
-        --workload "$2" --seed "$3" --seconds "$seconds" --trace 0) >"$out/$2-$3-$1.txt"
+    perfbench "$1" --workload "$2" --seed "$3" --trace 0 >"$out/$2-$3-$1.txt"
 }
 
 # metrics <file>: "name value" per end-to-end metric of the result line.
@@ -55,7 +64,7 @@ metrics() {
         sed 's/^"\([^"]*\)":{"value":/\1 /'
 }
 
-echo "perf-ab: parent $(git -C "$root" rev-parse --short "$sha"), change = working tree, ${seconds}s per run"
+echo "perf-ab: parent $(git -C "$root" rev-parse --short "$sha"), change = working tree"
 for w in $workloads; do
     i=0
     for s in $seeds; do

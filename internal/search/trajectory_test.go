@@ -12,8 +12,8 @@ import (
 
 	"repro/internal/objective"
 	"repro/internal/scenario"
-	"repro/internal/search"
 	"repro/internal/sched"
+	"repro/internal/search"
 )
 
 var updateTrajectories = flag.Bool("update-trajectories", false, "rewrite testdata/trajectories.txt from the current code")

@@ -99,8 +99,8 @@ bench-diff:
 # perf PRs track), with allocation stats, as a test2json stream.
 bench-micro-json:
 	$(GO) test -run=NONE -benchmem -json \
-		-bench='BenchmarkEvaluateMapping|BenchmarkSA$$|BenchmarkFig2TypicalRun|BenchmarkSAMotionEval|BenchmarkSALayered160Eval|BenchmarkEvalIncremental|BenchmarkEvalFull|BenchmarkExploreMany|BenchmarkPortfolio' \
-		. > $(BENCH_MICRO_JSON)
+		-bench='BenchmarkEvaluateMapping|BenchmarkSA$$|BenchmarkGA$$|BenchmarkFig2TypicalRun|BenchmarkSAMotionEval|BenchmarkSALayered160Eval|BenchmarkEvalIncremental|BenchmarkEvalFull|BenchmarkExploreMany|BenchmarkPortfolio|BenchmarkDevelDecode' \
+		. ./internal/listsched > $(BENCH_MICRO_JSON)
 	@grep -c '"Action":"output"' $(BENCH_MICRO_JSON) >/dev/null && echo "wrote $(BENCH_MICRO_JSON)"
 
 # The dsed job-server self-test: serve on a loopback port, submit the

@@ -21,8 +21,7 @@ import (
 // Enumeration order is the natural integer order of the bitmask (bit t set
 // = task t requests hardware), so runs are deterministic and resumable.
 type Exhaustive struct {
-	app  *model.App
-	arch *model.Arch
+	dec  *listsched.Decoder
 	n    int
 	mask uint64
 	hw   []bool
@@ -48,7 +47,7 @@ func NewExhaustive(app *model.App, arch *model.Arch) (*Exhaustive, error) {
 	if len(arch.Processors) == 0 {
 		return nil, fmt.Errorf("combi: exhaustive enumeration needs at least one processor")
 	}
-	return &Exhaustive{app: app, arch: arch, n: app.N(), hw: make([]bool, app.N())}, nil
+	return &Exhaustive{dec: listsched.NewDecoder(app, arch), n: app.N(), hw: make([]bool, app.N())}, nil
 }
 
 // Total returns the number of bipartitions the sweep visits (2^n).
@@ -73,7 +72,7 @@ func (x *Exhaustive) Next() (*sched.Mapping, bool) {
 		for t := 0; t < x.n; t++ {
 			x.hw[t] = m&(uint64(1)<<uint(t)) != 0
 		}
-		mp, err := listsched.Build(x.app, x.arch, x.hw, nil)
+		mp, err := x.dec.Build(x.hw, nil)
 		if err != nil {
 			continue
 		}

@@ -82,29 +82,44 @@ type genome struct {
 }
 
 func (g *genome) clone() *genome {
-	return &genome{
-		hw:   append([]bool(nil), g.hw...),
-		impl: append([]int(nil), g.impl...),
-		cost: g.cost,
-		eval: g.eval,
-		ok:   g.ok,
-	}
+	c := &genome{hw: make([]bool, len(g.hw)), impl: make([]int, len(g.impl))}
+	c.copyFrom(g)
+	return c
+}
+
+// copyFrom overwrites g with src; both hold genes for the same task count.
+func (g *genome) copyFrom(src *genome) {
+	copy(g.hw, src.hw)
+	copy(g.impl, src.impl)
+	g.cost, g.eval, g.ok = src.cost, src.eval, src.ok
 }
 
 // GA is a resumable genetic-algorithm run: New builds and scores the
 // initial population, each Step executes one generation, and Result reads
 // back the best individual. Explore is New stepped to exhaustion.
+//
+// A run holds one list-scheduling decoder for its (application,
+// architecture) pair and reuses its buffers: every fitness call decodes
+// into one scratch mapping, and each generation is written over the
+// genomes of the generation before last. A generation allocates only
+// when a decode opens more contexts than the one before it, or when a new
+// best is archived; the mappings handed out by Fitness and Result are
+// fresh.
 type GA struct {
-	app  *model.App
-	arch *model.Arch
-	cfg  Config
-	n    int
-	mut  float64
-	rng  *rand.Rand
-	eval *sched.Evaluator
-	scal objective.Scalarizer
+	app     *model.App
+	arch    *model.Arch
+	cfg     Config
+	n       int
+	mut     float64
+	rng     *rand.Rand
+	dec     *listsched.Decoder
+	eval    *sched.Evaluator
+	scal    objective.Scalarizer
+	scratch sched.Mapping // decode target of fitness
 
 	pop   []*genome
+	spare []*genome // the generation before last, overwritten by Step
+	elite []int     // scratch population indices for elites
 	best  *genome
 	stall int
 	gen   int
@@ -142,6 +157,7 @@ func New(app *model.App, arch *model.Arch, cfg Config) (*GA, error) {
 		n:    app.N(),
 		mut:  cfg.MutationRate,
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		dec:  listsched.NewDecoder(app, arch),
 		eval: sched.NewEvaluator(app, arch),
 	}
 	if g.mut <= 0 {
@@ -158,6 +174,7 @@ func New(app *model.App, arch *model.Arch, cfg Config) (*GA, error) {
 	}
 
 	g.pop = make([]*genome, cfg.Population)
+	g.spare = make([]*genome, cfg.Population)
 	for i := range g.pop {
 		ind := &genome{hw: make([]bool, g.n), impl: make([]int, g.n)}
 		for t := 0; t < g.n; t++ {
@@ -168,17 +185,18 @@ func New(app *model.App, arch *model.Arch, cfg Config) (*GA, error) {
 		}
 		g.fitness(ind)
 		g.pop[i] = ind
+		g.spare[i] = &genome{hw: make([]bool, g.n), impl: make([]int, g.n)}
 	}
 	g.best = fittest(g.pop).clone()
 	g.offerFront()
 	return g, nil
 }
 
-// fitness decodes and scores one individual through the shared objective
-// layer.
+// fitness decodes one individual into the scratch mapping and scores it
+// through the shared objective layer.
 func (g *GA) fitness(ind *genome) {
 	g.evals++
-	cost, eval, _, err := g.Fitness(ind.hw, ind.impl)
+	cost, eval, err := g.score(&g.scratch, ind.hw, ind.impl)
 	if err != nil {
 		ind.cost, ind.ok = math.Inf(1), false
 		return
@@ -186,20 +204,29 @@ func (g *GA) fitness(ind *genome) {
 	ind.cost, ind.eval, ind.ok = cost, eval, true
 }
 
-// Fitness decodes a spatial assignment into a complete mapping and scores
-// it under the GA's objective — the exact cost the annealer would assign
-// the same mapping under the same scalarizer. Exposed so cross-strategy
-// regression tests can pin that equivalence.
-func (g *GA) Fitness(hw []bool, impl []int) (float64, sched.Result, *sched.Mapping, error) {
-	m, err := listsched.Build(g.app, g.arch, hw, impl)
-	if err != nil {
-		return 0, sched.Result{}, nil, err
+// score decodes a spatial assignment into m and scores it.
+func (g *GA) score(m *sched.Mapping, hw []bool, impl []int) (float64, sched.Result, error) {
+	if err := g.dec.BuildInto(m, hw, impl); err != nil {
+		return 0, sched.Result{}, err
 	}
 	res, err := g.eval.Evaluate(m)
 	if err != nil {
+		return 0, sched.Result{}, err
+	}
+	return g.scal.CostOf(g.app, g.arch, m, res), res, nil
+}
+
+// Fitness decodes a spatial assignment into a fresh complete mapping and
+// scores it under the GA's objective — the exact cost the annealer would
+// assign the same mapping under the same scalarizer. Exposed so
+// cross-strategy regression tests can pin that equivalence.
+func (g *GA) Fitness(hw []bool, impl []int) (float64, sched.Result, *sched.Mapping, error) {
+	m := &sched.Mapping{}
+	cost, res, err := g.score(m, hw, impl)
+	if err != nil {
 		return 0, sched.Result{}, nil, err
 	}
-	return g.scal.CostOf(g.app, g.arch, m, res), res, m, nil
+	return cost, res, m, nil
 }
 
 // offerFront archives the current best individual's objective vector.
@@ -207,7 +234,7 @@ func (g *GA) offerFront() {
 	if g.front == nil || !g.best.ok {
 		return
 	}
-	m, err := listsched.Build(g.app, g.arch, g.best.hw, g.best.impl)
+	m, err := g.dec.Build(g.best.hw, g.best.impl)
 	if err != nil {
 		return
 	}
@@ -235,15 +262,19 @@ func (g *GA) Step() bool {
 		g.done = true
 		return false
 	}
-	next := make([]*genome, 0, g.cfg.Population)
+	// The next generation overwrites the one before last; parents are
+	// drawn from g.pop, which stays intact until the swap below.
+	next := g.spare
 	// Elitism: carry the best individuals over unchanged.
-	for _, ind := range elites(g.pop, g.cfg.Elite) {
-		next = append(next, ind.clone())
+	g.elite = elites(g.pop, g.cfg.Elite, g.elite)
+	for i, e := range g.elite {
+		next[i].copyFrom(g.pop[e])
 	}
-	for len(next) < g.cfg.Population {
+	for i := len(g.elite); i < len(next); i++ {
 		a := tournament(g.pop, g.cfg.TournamentK, g.rng)
 		b := tournament(g.pop, g.cfg.TournamentK, g.rng)
-		child := a.clone()
+		child := next[i]
+		child.copyFrom(a)
 		if g.rng.Float64() < g.cfg.CrossoverRate {
 			cut := g.rng.Intn(g.n)
 			copy(child.hw[cut:], b.hw[cut:])
@@ -258,12 +289,11 @@ func (g *GA) Step() bool {
 			}
 		}
 		g.fitness(child)
-		next = append(next, child)
 	}
-	g.pop = next
+	g.pop, g.spare = next, g.pop
 	g.gen++
 	if f := fittest(g.pop); f.cost < g.best.cost {
-		g.best = f.clone()
+		g.best.copyFrom(f)
 		g.stall = 0
 		g.offerFront()
 	} else {
@@ -281,7 +311,7 @@ func (g *GA) Result() (*Result, error) {
 	if !g.best.ok {
 		return nil, fmt.Errorf("ga: no feasible individual found")
 	}
-	m, err := listsched.Build(g.app, g.arch, g.best.hw, g.best.impl)
+	m, err := g.dec.Build(g.best.hw, g.best.impl)
 	if err != nil {
 		return nil, err
 	}
@@ -316,14 +346,15 @@ func fittest(pop []*genome) *genome {
 	return best
 }
 
-// elites returns the k best individuals (k small, so selection sort).
-func elites(pop []*genome, k int) []*genome {
+// elites returns the population indices of the k best individuals, best
+// first (k small, so selection sort), reusing idx's storage.
+func elites(pop []*genome, k int, idx []int) []int {
 	if k <= 0 {
-		return nil
+		return idx[:0]
 	}
-	idx := make([]int, len(pop))
-	for i := range idx {
-		idx[i] = i
+	idx = idx[:0]
+	for i := range pop {
+		idx = append(idx, i)
 	}
 	for i := 0; i < k && i < len(idx); i++ {
 		m := i
@@ -334,11 +365,7 @@ func elites(pop []*genome, k int) []*genome {
 		}
 		idx[i], idx[m] = idx[m], idx[i]
 	}
-	out := make([]*genome, 0, k)
-	for i := 0; i < k && i < len(idx); i++ {
-		out = append(out, pop[idx[i]])
-	}
-	return out
+	return idx[:min(k, len(idx))]
 }
 
 func tournament(pop []*genome, k int, rng *rand.Rand) *genome {

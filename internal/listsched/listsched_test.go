@@ -30,7 +30,7 @@ func TestRanksMonotoneAlongEdges(t *testing.T) {
 func TestBuildAllSoftware(t *testing.T) {
 	app, arch := motion()
 	hw := make([]bool, app.N())
-	m, err := Build(app, arch, hw, nil)
+	m, err := NewDecoder(app, arch).Build(hw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestBuildAllHardwarePacksContexts(t *testing.T) {
 	for i := range hw {
 		hw[i] = true
 	}
-	m, err := Build(app, arch, hw, nil)
+	m, err := NewDecoder(app, arch).Build(hw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestBuildRespectsCapability(t *testing.T) {
 	hw := make([]bool, app.N())
 	hw[0] = true  // request impossible hardware
 	hw[1] = false // request impossible software
-	m, err := Build(app, arch, hw, nil)
+	m, err := NewDecoder(app, arch).Build(hw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestBuildClampsImplGene(t *testing.T) {
 	hw[5] = true
 	impl := make([]int, app.N())
 	impl[5] = 99 // out of range: clamp to smallest
-	m, err := Build(app, arch, hw, impl)
+	m, err := NewDecoder(app, arch).Build(hw, impl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestBuildOversizedDeviceFallsBack(t *testing.T) {
 	for i := range hw {
 		hw[i] = true
 	}
-	m, err := Build(app, tiny, hw, nil)
+	m, err := NewDecoder(app, tiny).Build(hw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,13 +120,54 @@ func TestBuildOversizedDeviceFallsBack(t *testing.T) {
 	}
 }
 
+// TestBuildErrors: every per-call check fails Build and BuildInto alike,
+// and a reused mapping decodes correctly again after a failed call.
 func TestBuildErrors(t *testing.T) {
 	app, arch := motion()
-	if _, err := Build(app, arch, make([]bool, 3), nil); err == nil {
+	app.Tasks[3].SW = 0 // hardware-only
+	noProc := &model.Arch{RCs: arch.RCs, Bus: arch.Bus}
+	noRC := &model.Arch{Processors: arch.Processors, Bus: arch.Bus}
+	tiny := apps.MotionArch(50, apps.DefaultMotionConfig()) // nothing fits
+	for _, c := range []struct {
+		name string
+		arch *model.Arch
+		hw   []bool
+	}{
+		{"wrong-size assignment", arch, make([]bool, 3)},
+		{"processor-less architecture", noProc, make([]bool, app.N())},
+		{"hardware-only task without RC", noRC, make([]bool, app.N())},
+		{"task fitting neither side", tiny, make([]bool, app.N())},
+	} {
+		dec := NewDecoder(app, c.arch)
+		if _, err := dec.Build(c.hw, nil); err == nil {
+			t.Fatalf("%s accepted by Build", c.name)
+		}
+		if err := dec.BuildInto(&sched.Mapping{}, c.hw, nil); err == nil {
+			t.Fatalf("%s accepted by BuildInto", c.name)
+		}
+	}
+
+	dec := NewDecoder(app, arch)
+	m := &sched.Mapping{}
+	hw := make([]bool, app.N())
+	for i := range hw {
+		hw[i] = true
+	}
+	if err := dec.BuildInto(m, hw, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.BuildInto(m, make([]bool, 5), nil); err == nil {
 		t.Fatal("wrong-size assignment accepted")
 	}
-	noProc := &model.Arch{RCs: arch.RCs, Bus: arch.Bus}
-	if _, err := Build(app, noProc, make([]bool, app.N()), nil); err == nil {
-		t.Fatal("processor-less architecture accepted")
+	hw[0], hw[7] = false, false
+	if err := dec.BuildInto(m, hw, nil); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := dec.Build(hw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := mappingDiff(m, fresh); d != "" {
+		t.Fatalf("decode after a failed call: %s", d)
 	}
 }

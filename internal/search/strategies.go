@@ -196,6 +196,7 @@ type listStrategy struct {
 	metrics  []objective.Metric
 	deadline model.Time
 
+	dec     *listsched.Decoder
 	eval    *sched.Evaluator
 	orders  [][]int // task ids by descending priority, one per family
 	fastest []int   // per-task fastest-implementation index
@@ -214,14 +215,16 @@ func (s *listStrategy) Name() string { return "list" }
 
 func (s *listStrategy) Init(int64) error {
 	n := s.app.N()
-	rank := listsched.Ranks(s.app)
-	byRank := prioOrder(n, func(a, b int) bool { return rank[a] > rank[b] })
+	s.dec = listsched.NewDecoder(s.app, s.arch)
 	gain := make([]model.Time, n)
+	byGain := make([]int, n)
 	for t := 0; t < n; t++ {
 		gain[t] = s.app.Tasks[t].SW - s.app.Tasks[t].BestHWTime()
+		byGain[t] = t
 	}
-	byGain := prioOrder(n, func(a, b int) bool { return gain[a] > gain[b] })
-	s.orders = [][]int{byRank, byGain}
+	// Ids ascending among equal gains (determinism).
+	sort.SliceStable(byGain, func(i, j int) bool { return gain[byGain[i]] > gain[byGain[j]] })
+	s.orders = [][]int{s.dec.Order(), byGain}
 	s.fastest = make([]int, n)
 	for t := 0; t < n; t++ {
 		for i, im := range s.app.Tasks[t].HW {
@@ -261,7 +264,7 @@ func (s *listStrategy) Step() (bool, error) {
 	if fast {
 		impl = s.fastest
 	}
-	m, err := listsched.Build(s.app, s.arch, hw, impl)
+	m, err := s.dec.Build(hw, impl)
 	if err != nil {
 		// An undecodable assignment (e.g. hardware-only tasks without an
 		// RC) just ends this candidate; the sweep continues.
@@ -313,17 +316,6 @@ func (s *listStrategy) Stats() Stats {
 		st.BestCost = s.best.Cost
 	}
 	return st
-}
-
-// prioOrder returns task ids sorted by the given strict priority, ids
-// ascending among equals (determinism).
-func prioOrder(n int, higher func(a, b int) bool) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool { return higher(order[i], order[j]) })
-	return order
 }
 
 // ---------- exhaustive enumeration (small instances) ----------
